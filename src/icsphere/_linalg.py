@@ -1,8 +1,8 @@
-"""Dense symmetric eigensolver and Cholesky factorization.
+"""Dense symmetric eigendecomposition and Cholesky factorization.
 
-A cyclic Jacobi iteration keeps the eigendecomposition fully
-deterministic across platforms: rotation order is fixed, convergence is
-a fixed relative threshold, and eigenvector signs follow one rule.
+Eigenpairs come from LAPACK; a tie rule and a sign rule make the
+eigenvectors a function of the matrix alone. The Cholesky factor is an
+explicit column loop, so the Monte Carlo draws built on it keep their bits.
 """
 
 from __future__ import annotations
@@ -11,17 +11,17 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, ModelError
+from .errors import ConvergenceError, DimensionError, DomainError, ModelError
 
-__all__ = ["jacobi_eigh", "fix_column_signs", "cholesky_lower"]
+__all__ = ["TIE_TOL", "tie_groups", "eigh_sorted", "fix_column_signs", "cholesky_lower"]
 
-_OFFDIAG_TOL = 1e-12
-_MAX_SWEEPS = 60
+# Ascending neighbours at most TIE_TOL * ||A||_F apart are tied; the
+# multiplicity min_variance reports is the size of the same group.
+TIE_TOL = 1e-8
 
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.sqrt(np.sum(a[mask] ** 2)))
+# A Gram-Schmidt residual at most this long counts as dependent; any
+# value below 1/sqrt(n) still leaves enough rows for a full basis.
+_INDEPENDENCE_TOL = 1e-6
 
 
 def fix_column_signs(v: np.ndarray) -> np.ndarray:
@@ -36,70 +36,61 @@ def fix_column_signs(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def jacobi_eigh(a: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def tie_groups(w: np.ndarray, scale: float) -> list[tuple[int, int]]:
+    """Half-open index ranges of ascending w whose neighbours are at
+    most TIE_TOL * scale apart; scale is the matrix's Frobenius norm."""
+    cuts = (np.flatnonzero(np.diff(w) > TIE_TOL * scale) + 1).tolist()
+    bounds = [0, *cuts, len(w)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _projector_basis(vg: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt of the columns P e_j of P = vg vg^T, in index order.
+
+    Row j of vg holds the coordinates of P e_j in the basis vg, so the
+    rows are orthogonalized until k = rank are taken. The result is the
+    same for vg R with any orthogonal R.
+    """
+    k = vg.shape[1]
+    q = np.zeros((k, k))
+    taken = 0
+    for row in vg:
+        r = row.copy()
+        for _ in range(2):  # the second pass restores orthogonality
+            r -= q[:, :taken] @ (q[:, :taken].T @ r)
+        norm = float(np.linalg.norm(r))
+        if norm > _INDEPENDENCE_TOL:
+            q[:, taken] = r / norm
+            taken += 1
+            if taken == k:
+                break
+    return vg @ q
+
+
+def eigh_sorted(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric a.
 
-    Iterates cyclic Jacobi sweeps until the off-diagonal Frobenius mass
-    drops below 1e-12 times the Frobenius norm of the input. Column i of
-    the returned matrix pairs with eigenvalue i; signs are deterministic.
+    Column i pairs with eigenvalue i. Each group of tie_groups gets the
+    projector basis, which depends only on its eigenspace; signs follow
+    fix_column_signs. Non-finite or asymmetric input raises DomainError,
+    a LAPACK failure ConvergenceError.
     """
-    a = np.array(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.reshape(1).copy(), v
-    fro = float(np.linalg.norm(a, "fro"))
-    if fro == 0.0:
-        return np.zeros(n), v
-    threshold = _OFFDIAG_TOL * fro
-
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= threshold:
-            break
-        # Entries this small contribute at most threshold/10 to the
-        # off-diagonal norm even if every one of them is skipped.
-        skip_below = max(threshold / (10.0 * n), 1e-300)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip_below:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = col_p - s * (col_q + tau * col_p)
-                a[:, q] = col_q + s * (col_p - tau * col_q)
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = vp - s * (vq + tau * vp)
-                v[:, q] = vq + s * (vp - tau * vq)
-    else:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not reach tolerance in {max_sweeps} sweeps",
-            terms_used=max_sweeps,
-        )
-
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionError(f"expected a non-empty square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix has non-finite entries")
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
+        raise DomainError("matrix is not symmetric")
+    a = 0.5 * (a + a.T)
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from None
+    for lo, hi in tie_groups(w, float(np.linalg.norm(a, "fro"))):
+        if hi - lo > 1:
+            v[:, lo:hi] = _projector_basis(v[:, lo:hi])
     fix_column_signs(v)
     return w, v
 

@@ -359,8 +359,8 @@ def _cmd_empirical(args) -> int:
                       f"projected_{label}.csv"]
         window_labels.append(label)
 
-    aligned = panel.returns[[d in set(spanel.dates) for d in panel.dates]]
-    corr = emp.correlation_summary(aligned, spanel.sample.matrix)
+    corr = emp.correlation_summary(panel.returns[spanel.kept],
+                                   spanel.sample.matrix)
     _write_json(outdir / "correlations.json", corr)
     artifacts.append("correlations.json")
 

@@ -193,16 +193,24 @@ def load_panel(path, missing_policy: str = "cross_mean") -> ReturnPanel:
 
 @dataclass(frozen=True, eq=False)
 class StandardizedPanel:
-    """Unit directions of the panel rows that could be standardized."""
+    """Unit directions of the panel rows that could be standardized.
+
+    kept is a boolean mask over the rows of the source ReturnPanel that
+    marks the rows this panel holds, in order.
+    """
 
     sample: DirectionalSample
     dates: tuple
     dropped_degenerate: int
+    kept: np.ndarray
 
     def __post_init__(self):
-        if len(self.dates) != self.sample.size:
-            raise DimensionError("dates must align with the sample rows")
+        kept = np.array(self.kept, dtype=bool)
+        if len(self.dates) != self.sample.size or int(kept.sum()) != self.sample.size:
+            raise DimensionError("dates and kept must align with the sample rows")
+        kept.setflags(write=False)
         object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "kept", kept)
 
     def restrict(self, keep_dates) -> "StandardizedPanel":
         """Sub-panel containing only rows whose date is in keep_dates."""
@@ -210,10 +218,13 @@ class StandardizedPanel:
         mask = np.array([d in wanted for d in self.dates], dtype=bool)
         if int(mask.sum()) < 1:
             raise DomainError("restriction keeps no rows")
+        kept = self.kept.copy()
+        kept[kept] = mask
         return StandardizedPanel(
             sample=DirectionalSample(self.sample.matrix[mask]),
             dates=tuple(d for d, k in zip(self.dates, mask) if k),
             dropped_degenerate=0,
+            kept=kept,
         )
 
 
@@ -227,6 +238,7 @@ def standardize_panel(panel: ReturnPanel) -> StandardizedPanel:
         sample=DirectionalSample(units),
         dates=dates,
         dropped_degenerate=int((~kept).sum()),
+        kept=kept,
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import fix_column_signs, jacobi_eigh
+from ._linalg import eigh_sorted, fix_column_signs, tie_groups
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -73,16 +73,11 @@ def max_expectation(summary: MomentSummary) -> OptimizationResult:
 def symmetric_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic symmetric eigendecomposition, eigenvalues ascending.
 
-    Thin wrapper over the in-house Jacobi solver so every consumer gets
-    identical ordering and sign conventions.
+    LAPACK eigenpairs; tied eigenvalues get the Gram-Schmidt basis of
+    their projector's columns in index order (see _linalg.eigh_sorted
+    for the tie, sign and error rules).
     """
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got {arr.shape}")
-    scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
-    if float(np.max(np.abs(arr - arr.T))) > 1e-10 * scale:
-        raise DomainError("matrix is not symmetric")
-    return jacobi_eigh(0.5 * (arr + arr.T))
+    return eigh_sorted(a)
 
 
 def min_variance(cov_chi) -> OptimizationResult:
@@ -91,7 +86,7 @@ def min_variance(cov_chi) -> OptimizationResult:
     cov_chi must annihilate the constant vector (that eigenvalue is the
     constraint direction, not a candidate). The minimizer is the
     eigenvector of the second-smallest eigenvalue; ties are reported
-    through multiplicity and resolved to the lowest eigen-index.
+    through multiplicity and resolved by symmetric_eigen's tie rule.
     """
     cov = np.asarray(cov_chi, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -109,8 +104,8 @@ def min_variance(cov_chi) -> OptimizationResult:
     w, v = symmetric_eigen(cov)
     # index 0 is the constraint kernel (eigenvalue ~ 0 along 1).
     value = float(w[1])
-    group_tol = 1e-8 * max(fro, 1e-300)
-    multiplicity = int(np.sum(np.abs(w[1:] - value) <= group_tol))
+    lo, hi = next(g for g in tie_groups(w, fro) if g[0] <= 1 < g[1])
+    multiplicity = hi - max(lo, 1)
     vec = v[:, 1].copy()
     # Scrub the numerical leakage along the constant vector, then re-unitize.
     vec -= vec.mean()

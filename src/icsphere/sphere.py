@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import fix_column_signs, jacobi_eigh
+from ._linalg import eigh_sorted
 from .errors import DegenerateInputError, DimensionError, DomainError
 from .specfun import log_gamma
 
@@ -212,10 +212,8 @@ def build_representation(mu, cov) -> Representation:
     v = helmert_v(n)
     b = v.T @ cov @ v
     b = 0.5 * (b[: n - 1, : n - 1] + b[: n - 1, : n - 1].T)
-    w, q = jacobi_eigh(b)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    q = fix_column_signs(q[:, order])
+    w, q = eigh_sorted(b)
+    w, q = w[::-1], q[:, ::-1]
 
     u = v.copy()
     u[:, : n - 1] = v[:, : n - 1] @ q

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import datetime
 import json
 import math
 import subprocess
@@ -8,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from icsphere import cli
+from icsphere import cli, empirical, sphere
+from tests.conftest import business_days, one_factor_returns, write_panel_csv
 
 
 def run(argv, capsys):
@@ -268,6 +270,25 @@ class TestEmpirical:
         corr = read_json(out_dir / "correlations.json")
         assert abs(corr["mean_corr_x"]) < abs(corr["mean_corr_z"]) / 5.0
         assert "6 windows" in out
+
+    def test_correlations_skip_constant_rows(self, tmp_path, capsys):
+        t, n = 300, 6
+        matrix = one_factor_returns(t, n, seed=41)
+        matrix[[40, 41, 150, 299]] = 0.01
+        path = tmp_path / "gaps.csv"
+        write_panel_csv(path, business_days(datetime.date(2020, 1, 2), t),
+                        [f"C{j}" for j in range(n)], matrix)
+        out_dir = tmp_path / "corr"
+        code, out, _ = run(
+            ["empirical", "--input", str(path), "--output-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        assert "4 degenerate rows" in out
+        panel = empirical.load_panel(path)
+        units, kept = sphere.standardize_rows(panel.returns)
+        expected = empirical.correlation_summary(panel.returns[kept], units)
+        assert read_json(out_dir / "correlations.json") == expected
 
     def test_range_window(self, five_year_panel_csv, tmp_path, capsys):
         out_dir = tmp_path / "rng"

@@ -196,6 +196,7 @@ class TestStandardizePanel:
         assert spanel.dropped_degenerate == 1
         assert spanel.dates == (D(2020, 1, 2), D(2020, 1, 6))
         assert spanel.sample.size == 2
+        assert spanel.kept.tolist() == [True, False, True]
 
     def test_restrict(self):
         dates = business_days(D(2020, 1, 2), 30)
@@ -208,6 +209,7 @@ class TestStandardizePanel:
         sub = spanel.restrict(dates[5:10])
         assert sub.sample.size == 5
         assert sub.dates == tuple(dates[5:10])
+        assert np.flatnonzero(sub.kept).tolist() == [5, 6, 7, 8, 9]
         with pytest.raises(DomainError):
             spanel.restrict([D(1999, 1, 1)])
 

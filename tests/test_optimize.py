@@ -7,6 +7,7 @@ import pytest
 
 from icsphere import moments, optimize, specfun, sphere
 from icsphere.errors import (
+    ConvergenceError,
     DimensionError,
     DomainError,
     InvalidCovarianceError,
@@ -93,6 +94,21 @@ class TestSymmetricEigen:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
             optimize.symmetric_eigen(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(3)
+        a[0, 2] = a[2, 0] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            optimize.symmetric_eigen(a)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            optimize.symmetric_eigen(np.eye(3))
 
 
 class TestMinVariance:

@@ -1,5 +1,5 @@
 """Tests for standardization, the orthogonal representation, and the
-in-house linear algebra underneath it."""
+linear algebra underneath it."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from icsphere import _linalg, sphere
+from icsphere import _linalg, moments, specfun, sphere
 from icsphere.errors import (
     DegenerateInputError,
     DimensionError,
@@ -157,45 +157,107 @@ class TestHelmert:
 
 
 class TestJacobi:
+    """_linalg.eigh_sorted: LAPACK eigenpairs with the projector tie rule."""
+
     def test_identity(self):
-        w, v = _linalg.jacobi_eigh(np.eye(4))
+        w, v = _linalg.eigh_sorted(np.eye(4))
         assert w == pytest.approx(np.ones(4))
-        assert v == pytest.approx(np.eye(4))
+        # one tie group whose projector is I: Gram-Schmidt returns I
+        assert np.array_equal(v, np.eye(4))
 
     def test_centering_matrix_spectrum(self):
         n = 6
-        w, v = _linalg.jacobi_eigh(sphere.centering_matrix(n))
+        w, v = _linalg.eigh_sorted(sphere.centering_matrix(n))
         assert w[0] == pytest.approx(0.0, abs=1e-13)
         assert w[1:] == pytest.approx(np.ones(n - 1))
         # kernel eigenvector is the constant direction with positive sign
         assert v[:, 0] == pytest.approx(np.full(n, 1.0 / math.sqrt(n)))
+        # the tied block starts with the first projected basis vector
+        first = np.eye(n)[0] - 1.0 / n
+        assert np.max(np.abs(v[:, 1] - first / np.linalg.norm(first))) <= 1e-14
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 20])
     def test_reconstruction(self, n):
         a = random_pd(n, np.random.default_rng(n))
-        w, v = _linalg.jacobi_eigh(a)
+        w, v = _linalg.eigh_sorted(a)
         recon = (v * w) @ v.T
-        assert np.max(np.abs(recon - a)) <= 1e-9 * np.linalg.norm(a, "fro")
+        assert np.max(np.abs(recon - a)) <= 1e-12 * np.linalg.norm(a, "fro")
         assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
-        assert np.all(np.diff(w) >= -1e-12)
+        assert np.all(np.diff(w) >= 0.0)
 
     def test_matches_numpy_eigenvalues(self):
-        a = random_pd(12, np.random.default_rng(7))
-        w, _ = _linalg.jacobi_eigh(a)
-        ref = np.linalg.eigvalsh(a)
-        assert w == pytest.approx(ref, rel=1e-10, abs=1e-10)
+        for n in (1, 2, 12, 60):
+            a = random_pd(n, np.random.default_rng(7 + n))
+            w, _ = _linalg.eigh_sorted(a)
+            ref = np.linalg.eigvalsh(a)
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.linalg.norm(a, "fro")
 
     def test_deterministic_signs(self):
         a = random_pd(5, np.random.default_rng(3))
-        _, v1 = _linalg.jacobi_eigh(a)
-        _, v2 = _linalg.jacobi_eigh(a.copy())
+        _, v1 = _linalg.eigh_sorted(a)
+        _, v2 = _linalg.eigh_sorted(a.copy())
         assert np.array_equal(v1, v2)
         lead = np.argmax(np.abs(v1), axis=0)
         assert np.all(v1[lead, np.arange(5)] > 0.0)
 
+    def test_tie_rule_ignores_basis_inside_groups(self, monkeypatch):
+        # spectrum 1, 2 (x3), 3, 5 (x4): LAPACK may return any orthonormal
+        # basis of each tied eigenspace; the output must not depend on it.
+        rng = np.random.default_rng(31)
+        lam = np.array([1.0, 2.0, 2.0, 2.0, 3.0, 5.0, 5.0, 5.0, 5.0])
+        n = lam.size
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (basis * lam) @ basis.T
+        a = 0.5 * (a + a.T)
+        w_ref, v_ref = _linalg.eigh_sorted(a)
+        groups = _linalg.tie_groups(w_ref, np.linalg.norm(a, "fro"))
+        assert [hi - lo for lo, hi in groups] == [1, 3, 1, 4]
+
+        lapack_eigh = np.linalg.eigh
+        for trial in range(5):
+            def rotated_eigh(m, trial=trial):
+                w, v = lapack_eigh(m)
+                r = np.random.default_rng(100 + trial)
+                for lo, hi in groups:
+                    rot, _ = np.linalg.qr(r.standard_normal((hi - lo, hi - lo)))
+                    v[:, lo:hi] = v[:, lo:hi] @ rot
+                return w, v
+
+            monkeypatch.setattr(np.linalg, "eigh", rotated_eigh)
+            _, v = _linalg.eigh_sorted(a)
+            monkeypatch.undo()
+            assert np.max(np.abs(v - v_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 10, 50])
+    def test_homoscedastic_cov_chi(self, n):
+        model = moments.HomoscedasticModel(
+            mu=np.linspace(-0.5, 0.5, n) ** 3, sigma=0.4, rho=0.2
+        )
+        cov = moments.cov_chi_homoscedastic(model)
+        w, v = _linalg.eigh_sorted(cov)
+        fro = np.linalg.norm(cov, "fro")
+        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
+        assert np.max(np.abs((v * w) @ v.T - cov)) <= 1e-12 * fro
+        g = specfun.g_var(n - 1, model.concentration())
+        sizes = {
+            hi - lo for lo, hi in _linalg.tie_groups(w, fro)
+            if abs(w[lo] - g) <= 1e-10
+        }
+        assert sizes == {n - 2}
+
+    def test_one_by_one(self):
+        w, v = _linalg.eigh_sorted(np.array([[-2.5]]))
+        assert w.tolist() == [-2.5]
+        assert v.tolist() == [[1.0]]
+
+    def test_zero_matrix(self):
+        w, v = _linalg.eigh_sorted(np.zeros((4, 4)))
+        assert np.array_equal(w, np.zeros(4))
+        assert np.array_equal(v, np.eye(4))
+
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
-            _linalg.jacobi_eigh(np.ones((2, 3)))
+            _linalg.eigh_sorted(np.ones((2, 3)))
 
 
 class TestCholesky:
