@@ -127,12 +127,24 @@ def _ensure_outdir(args) -> Path:
     return out
 
 
-def _write_manifest(outdir: Path, command: str, argv_norm: list[str],
-                    seed: int | None, artifact_names: list[str]) -> None:
+def _manifest_argv(args) -> list[str]:
+    """The command path, then every option of its parser that has a
+    value, in parser order. --output-dir and --threads never change an
+    artifact, so they are left out."""
+    argv = list(args.path)
+    for action in args.parser._actions:
+        value = getattr(args, action.dest, None)
+        if (action.option_strings and value is not None
+                and action.dest not in ("output_dir", "threads")):
+            argv += [action.option_strings[0], _cell(value)]
+    return argv
+
+
+def _write_manifest(outdir: Path, args, artifact_names: list[str]) -> None:
     manifest = {
-        "command": command,
-        "parameters": {"argv": argv_norm},
-        "seed": seed,
+        "command": ".".join(args.path),
+        "parameters": {"argv": _manifest_argv(args)},
+        "seed": getattr(args, "seed", None),
         "artifacts": {
             name: _sha256_file(outdir / name) for name in sorted(artifact_names)
         },
@@ -165,11 +177,7 @@ def _cmd_moments(args) -> int:
     if args.output_dir is not None:
         outdir = _ensure_outdir(args)
         (outdir / "moments.json").write_text(text)
-        argv_norm = ["moments", "--mu", args.mu, "--sigma", repr(args.sigma),
-                     "--rho", repr(args.rho)]
-        if args.theta is not None:
-            argv_norm += ["--theta", args.theta]
-        _write_manifest(outdir, "moments", argv_norm, None, ["moments.json"])
+        _write_manifest(outdir, args, ["moments.json"])
     return EXIT_OK
 
 
@@ -184,12 +192,12 @@ def _load_params(arg: str | None) -> dict:
     return fixtures.load_params(arg)
 
 
-def _cmd_simulate_ic_pdf(args, seed: int) -> int:
+def _cmd_simulate_ic_pdf(args) -> int:
     params = _load_params(args.params)
     which = "ten_hetero" if args.variant == "hetero" else "ten_base"
     mu, cov = fixtures.model_params(params, which)
     model = moments.GaussianModel(mu, cov)
-    stream = montecarlo.SeededStream(seed)
+    stream = montecarlo.SeededStream(args.seed)
     density, values = montecarlo.ic_distribution(
         model, args.mode, args.count, stream,
         bandwidth=args.bandwidth, threads=args.threads,
@@ -201,7 +209,7 @@ def _cmd_simulate_ic_pdf(args, seed: int) -> int:
         "mode": args.mode,
         "variant": args.variant,
         "count": int(values.size),
-        "seed": seed,
+        "seed": args.seed,
         "bandwidth": float(density.bandwidth),
         "mean": float(values.mean()),
         "sd": float(values.std(ddof=1)),
@@ -209,15 +217,7 @@ def _cmd_simulate_ic_pdf(args, seed: int) -> int:
         "max": float(values.max()),
     }
     _write_json(outdir / "ic_pdf_summary.json", summary)
-    argv_norm = ["simulate", "ic-pdf", "--mode", args.mode,
-                 "--variant", args.variant, "--count", str(args.count),
-                 "--seed", str(seed)]
-    if args.params is not None:
-        argv_norm += ["--params", args.params]
-    if args.bandwidth is not None:
-        argv_norm += ["--bandwidth", repr(args.bandwidth)]
-    _write_manifest(outdir, "simulate.ic-pdf", argv_norm, seed,
-                    ["ic_pdf_density.csv", "ic_pdf_summary.json"])
+    _write_manifest(outdir, args, ["ic_pdf_density.csv", "ic_pdf_summary.json"])
     sys.stdout.write(
         f"ic-pdf: {values.size} projections, mean {summary['mean']:.6f}, "
         f"sd {summary['sd']:.6f}\n"
@@ -225,11 +225,11 @@ def _cmd_simulate_ic_pdf(args, seed: int) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate_md_perturb(args, seed: int) -> int:
+def _cmd_simulate_md_perturb(args) -> int:
     params = _load_params(args.params)
     mu, cov = fixtures.model_params(params, "three")
     factors = [float(f) for f in args.factors.split(",") if f.strip() != ""]
-    stream = montecarlo.SeededStream(seed)
+    stream = montecarlo.SeededStream(args.seed)
     points = montecarlo.md_perturbation_experiment(
         mu, cov, args.axis, factors, args.count, stream, threads=args.threads,
     )
@@ -244,18 +244,12 @@ def _cmd_simulate_md_perturb(args, seed: int) -> int:
                     + [float(v) for v in pt.md.coords]
                     + [math.degrees(math.acos(cosang))])
     _write_csv(outdir / "md_perturb.csv", header, rows)
-    argv_norm = ["simulate", "md-perturb", "--axis", args.axis,
-                 "--factors", args.factors, "--count", str(args.count),
-                 "--seed", str(seed)]
-    if args.params is not None:
-        argv_norm += ["--params", args.params]
-    _write_manifest(outdir, "simulate.md-perturb", argv_norm, seed,
-                    ["md_perturb.csv"])
+    _write_manifest(outdir, args, ["md_perturb.csv"])
     sys.stdout.write(f"md-perturb: {len(points)} factors along {args.axis}\n")
     return EXIT_OK
 
 
-def _cmd_simulate_mrl_check(args, seed: int) -> int:
+def _cmd_simulate_mrl_check(args) -> int:
     params = _load_params(args.params)
     mu, cov = fixtures.model_params(params, "ten_base")
     model = moments.GaussianModel(mu, cov)
@@ -272,7 +266,7 @@ def _cmd_simulate_mrl_check(args, seed: int) -> int:
     x = round(pm_r / (sg_r * math.sqrt(1.0 - rh_r)), 4)
     closed = specfun.varrho(n - 1, x)
 
-    stream = montecarlo.SeededStream(seed)
+    stream = montecarlo.SeededStream(args.seed)
     mc = montecarlo.estimate_chi_mrl(model, args.count, stream,
                                      threads=args.threads)
     bracket = [0.039, 0.044]
@@ -285,18 +279,13 @@ def _cmd_simulate_mrl_check(args, seed: int) -> int:
         "closed_form_mrl": closed,
         "mc_mrl": mc,
         "count": args.count,
-        "seed": seed,
+        "seed": args.seed,
         "bracket": bracket,
         "mc_within_bracket": bool(bracket[0] <= mc <= bracket[1]),
     }
     outdir = _ensure_outdir(args)
     _write_json(outdir / "mrl_check.json", payload)
-    argv_norm = ["simulate", "mrl-check", "--count", str(args.count),
-                 "--seed", str(seed)]
-    if args.params is not None:
-        argv_norm += ["--params", args.params]
-    _write_manifest(outdir, "simulate.mrl-check", argv_norm, seed,
-                    ["mrl_check.json"])
+    _write_manifest(outdir, args, ["mrl_check.json"])
     sys.stdout.write(
         f"mrl-check: closed-form {closed:.4f} | mc {mc:.4f} "
         f"(count {args.count})\n"
@@ -386,13 +375,7 @@ def _cmd_empirical(args) -> int:
     _write_json(outdir / "empirical_summary.json", info)
     artifacts.append("empirical_summary.json")
 
-    argv_norm = ["empirical", "--input", str(args.input),
-                 "--windows", args.windows,
-                 "--missing-policy", args.missing_policy,
-                 "--iota", args.iota]
-    if args.rolling is not None:
-        argv_norm += ["--rolling", str(args.rolling)]
-    _write_manifest(outdir, "empirical", argv_norm, None, artifacts)
+    _write_manifest(outdir, args, artifacts)
     sys.stdout.write(
         f"empirical: {panel.t} rows x {panel.n} assets, "
         f"{len(window_labels)} windows, "
@@ -495,14 +478,14 @@ def _oracle_optimize(checks: list, count: int, seed: int) -> None:
     checks.append(("optimize.homoscedastic_suite", all_ok, detail or "10 trials"))
 
 
-def _cmd_oracle(args, seed: int) -> int:
+def _cmd_oracle(args) -> int:
     checks: list[tuple[str, bool, str]] = []
     if args.suite in ("specfun", "all"):
-        _oracle_specfun(checks, args.count, seed)
+        _oracle_specfun(checks, args.count, args.seed)
     if args.suite in ("cov", "all"):
-        _oracle_cov(checks, args.count, seed, args.threads)
+        _oracle_cov(checks, args.count, args.seed, args.threads)
     if args.suite in ("optimize", "all"):
-        _oracle_optimize(checks, args.count, seed)
+        _oracle_optimize(checks, args.count, args.seed)
 
     for name, ok, detail in checks:
         sys.stdout.write(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}\n")
@@ -513,16 +496,13 @@ def _cmd_oracle(args, seed: int) -> int:
         report = {
             "suite": args.suite,
             "count": args.count,
-            "seed": seed,
+            "seed": args.seed,
             "checks": [
                 {"name": n, "ok": ok, "detail": d} for n, ok, d in checks
             ],
         }
         _write_json(outdir / "oracle_report.json", report)
-        argv_norm = ["oracle", "--suite", args.suite,
-                     "--count", str(args.count), "--seed", str(seed)]
-        _write_manifest(outdir, "oracle", argv_norm, seed,
-                        ["oracle_report.json"])
+        _write_manifest(outdir, args, ["oracle_report.json"])
     if failed:
         raise OracleFailure(f"{len(failed)} oracle check(s) failed: {failed}")
     return EXIT_OK
@@ -539,7 +519,10 @@ def _cmd_rerun(args) -> int:
         raise MalformedInputError(f"unusable manifest: {exc}") from None
     argv += ["--output-dir", str(args.output_dir)]
     if args.threads is not None:
-        argv += ["--threads", str(args.threads)]
+        # Only commands that take --threads get it.
+        target = _build_parser().parse_args(argv)
+        if hasattr(target, "threads"):
+            argv += ["--threads", str(args.threads)]
     return main(argv)
 
 
@@ -555,7 +538,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_mom = sub.add_parser("moments", help="closed-form moments and IC stats")
+    def command(subparsers, path, run, **kwargs):
+        p = subparsers.add_parser(path[-1], **kwargs)
+        p.set_defaults(run=run, path=path, parser=p)
+        return p
+
+    p_mom = command(sub, ("moments",), _cmd_moments,
+                    help="closed-form moments and IC stats")
     p_mom.add_argument("--mu", required=True,
                        help="mean vector: comma list or @file")
     p_mom.add_argument("--sigma", required=True, type=float,
@@ -582,7 +571,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=".",
                        help="artifact directory (default: current)")
 
-    p_ic = sim_sub.add_parser("ic-pdf", help="distribution of the projection T")
+    p_ic = command(sim_sub, ("simulate", "ic-pdf"), _cmd_simulate_ic_pdf,
+                   help="distribution of the projection T")
     add_common(p_ic, 1_000_000)
     p_ic.add_argument("--mode", choices=["chi_mu", "sample_md"],
                       default="chi_mu", help="projection direction")
@@ -591,19 +581,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ic.add_argument("--bandwidth", type=float, default=None,
                       help="KDE bandwidth override")
 
-    p_md = sim_sub.add_parser("md-perturb",
-                              help="mean direction under parameter scaling")
+    p_md = command(sim_sub, ("simulate", "md-perturb"), _cmd_simulate_md_perturb,
+                   help="mean direction under parameter scaling")
     add_common(p_md, 1_000_000)
     p_md.add_argument("--axis", choices=["mu1", "sigma1"], required=True,
                       help="which parameter the factors scale")
     p_md.add_argument("--factors", default="0.1,1,2,5,10",
                       help="comma list of positive factors")
 
-    p_mrl = sim_sub.add_parser("mrl-check",
-                               help="closed-form vs simulated resultant length")
+    p_mrl = command(sim_sub, ("simulate", "mrl-check"), _cmd_simulate_mrl_check,
+                    help="closed-form vs simulated resultant length")
     add_common(p_mrl, 1_000_000)
 
-    p_emp = sub.add_parser("empirical", help="panel ingestion and reports")
+    p_emp = command(sub, ("empirical",), _cmd_empirical,
+                    help="panel ingestion and reports")
     p_emp.add_argument("--input", required=True, help="CSV return panel")
     p_emp.add_argument("--windows", default="full",
                        help="'yearly', 'full', or 'from:to' ISO dates")
@@ -617,7 +608,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_emp.add_argument("--output-dir", default=".",
                        help="artifact directory (default: current)")
 
-    p_or = sub.add_parser("oracle", help="independent numerical cross-checks")
+    p_or = command(sub, ("oracle",), _cmd_oracle,
+                   help="independent numerical cross-checks")
     p_or.add_argument("--suite", choices=["specfun", "cov", "optimize", "all"],
                       default="all")
     p_or.add_argument("--count", type=int, default=1_000_000,
@@ -627,7 +619,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--output-dir", default=None,
                       help="write oracle_report.json and a manifest here")
 
-    p_rr = sub.add_parser("rerun", help="re-execute a manifest bit-identically")
+    p_rr = command(sub, ("rerun",), _cmd_rerun,
+                   help="re-execute a manifest bit-identically")
     p_rr.add_argument("--manifest", required=True)
     p_rr.add_argument("--output-dir", default=".")
     p_rr.add_argument("--threads", type=int, default=None)
@@ -636,28 +629,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        if hasattr(args, "seed"):
+            args.seed = _resolve_seed(args.seed)
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        if args.command == "moments":
-            return _cmd_moments(args)
-        if args.command == "simulate":
-            seed = _resolve_seed(args.seed)
-            if args.experiment == "ic-pdf":
-                return _cmd_simulate_ic_pdf(args, seed)
-            if args.experiment == "md-perturb":
-                return _cmd_simulate_md_perturb(args, seed)
-            return _cmd_simulate_mrl_check(args, seed)
-        if args.command == "empirical":
-            return _cmd_empirical(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args, _resolve_seed(args.seed))
-        if args.command == "rerun":
-            return _cmd_rerun(args)
-        raise MalformedInputError(f"unknown command {args.command!r}")
     except (MalformedInputError, DomainError, DimensionError, ModelError,
             InvalidCovarianceError, NoUniqueSolutionError) as exc:
         sys.stderr.write(f"error: {exc}\n")

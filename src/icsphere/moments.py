@@ -15,20 +15,14 @@ import numpy as np
 
 from ._linalg import cholesky_lower
 from .errors import (
+    DegenerateInputError,
     DimensionError,
     DomainError,
     ModelError,
     UndefinedMeanDirectionError,
 )
 from .specfun import DEFAULT_CONTROL, SeriesControl, f_var, g_var, varrho
-from .sphere import (
-    DEGENERACY_ABS,
-    DEGENERACY_REL,
-    UnitDirection,
-    centering_matrix,
-    standardize,
-    _as_vector,
-)
+from .sphere import UnitDirection, centering_matrix, standardize, _as_vector
 
 __all__ = [
     "HomoscedasticModel",
@@ -202,23 +196,33 @@ def two_dim_normal(mu1: float, mu2: float, sigma1: float, sigma2: float,
     return two_dim_exact(p_greater)
 
 
-def _check_nondegenerate_mean(mu: np.ndarray) -> float:
-    pmu = mu - mu.mean()
-    r = float(np.linalg.norm(pmu))
-    floor = max(DEGENERACY_REL * float(np.linalg.norm(mu)), DEGENERACY_ABS)
-    if r <= floor:
+def _mean_direction(mu: np.ndarray) -> UnitDirection:
+    """chi(mu); a mean that standardize finds constant has no direction."""
+    try:
+        return standardize(mu)
+    except DegenerateInputError:
         raise UndefinedMeanDirectionError(
             "mean vector is constant across components; mean direction undefined",
             mrl=0.0,
-        )
-    return r
+        ) from None
+
+
+def _f_g(n: int, x: float, control: SeriesControl) -> tuple[float, float]:
+    """Variances of chi(Z) along and across the mean axis, in n coordinates.
+
+    f_var and g_var at dimension n - 1. At n = 2 the hyperplane is a
+    line: chi(Z) is +-chi(mu), so f = 1 - varrho(1, x)^2 and g = 0.
+    """
+    if n == 2:
+        mrl = varrho(1, x, control)
+        return 1.0 - mrl * mrl, 0.0
+    return f_var(n - 1, x, control), g_var(n - 1, x, control)
 
 
 def md_mrl_homoscedastic(model: HomoscedasticModel,
                          control: SeriesControl = DEFAULT_CONTROL) -> MomentSummary:
     """Exact mean direction, resultant length, and covariance of chi(Z)."""
-    _check_nondegenerate_mean(model.mu)
-    md = standardize(model.mu)
+    md = _mean_direction(model.mu)
     x = model.concentration()
     mrl = varrho(model.n - 1, x, control)
     cov = cov_chi_homoscedastic(model, control)
@@ -248,20 +252,11 @@ def cov_chi_homoscedastic(model: HomoscedasticModel,
     constant-mean model is isotropic: P / (n - 1).
     """
     n = model.n
-    pmu = model.mu - model.mu.mean()
-    r = float(np.linalg.norm(pmu))
-    floor = max(DEGENERACY_REL * float(np.linalg.norm(model.mu)), DEGENERACY_ABS)
-    if r <= floor:
+    try:
+        chi = _mean_direction(model.mu).coords
+    except UndefinedMeanDirectionError:
         return centering_matrix(n) / (n - 1.0)
-    x = model.concentration()
-    chi = standardize(model.mu).coords
-    if n == 2:
-        # One-dimensional hyperplane: chi(Z) is +-chi(mu), and the
-        # isotropic part has no room to act.
-        mrl = varrho(1, x, control)
-        return (1.0 - mrl * mrl) * np.outer(chi, chi)
-    f = f_var(n - 1, x, control)
-    g = g_var(n - 1, x, control)
+    f, g = _f_g(n, model.concentration(), control)
     return (f - g) * np.outer(chi, chi) + g * centering_matrix(n)
 
 
@@ -291,16 +286,9 @@ def variance_T_homoscedastic(theta: UnitDirection, model: HomoscedasticModel,
     n = model.n
     if theta.dim != n:
         raise DimensionError("theta dimension does not match the model")
-    pmu = model.mu - model.mu.mean()
-    r = float(np.linalg.norm(pmu))
-    floor = max(DEGENERACY_REL * float(np.linalg.norm(model.mu)), DEGENERACY_ABS)
-    if r <= floor:
+    try:
+        alignment = float(theta.coords @ _mean_direction(model.mu).coords)
+    except UndefinedMeanDirectionError:
         return 1.0 / (n - 1.0)
-    x = model.concentration()
-    alignment = float(theta.coords @ standardize(model.mu).coords)
-    if n == 2:
-        mrl = varrho(1, x, control)
-        return (1.0 - mrl * mrl) * alignment ** 2
-    f = f_var(n - 1, x, control)
-    g = g_var(n - 1, x, control)
+    f, g = _f_g(n, model.concentration(), control)
     return (f - g) * alignment ** 2 + g

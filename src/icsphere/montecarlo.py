@@ -35,7 +35,7 @@ from .errors import (
     DomainError,
     UndefinedMeanDirectionError,
 )
-from .moments import GaussianModel, MomentSummary
+from .moments import GaussianModel, MomentSummary, _mean_direction
 from .sphere import UnitDirection, standardize, standardize_rows
 
 __all__ = [
@@ -170,24 +170,14 @@ class _NormalSource:
         return out
 
 
-def _validate_count(count: int, minimum: int = 1) -> int:
+def _validate_int(value: int, name: str, minimum: int = 1) -> int:
     try:
-        count = _int_index(count)
+        value = _int_index(value)
     except TypeError:
-        raise DomainError(f"count must be an int, got {count!r}") from None
-    if count < minimum:
-        raise DomainError(f"count must be at least {minimum}, got {count}")
-    return count
-
-
-def _validate_threads(threads: int) -> int:
-    try:
-        threads = _int_index(threads)
-    except TypeError:
-        raise DomainError(f"threads must be an int, got {threads!r}") from None
-    if threads < 1:
-        raise DomainError(f"threads must be at least 1, got {threads}")
-    return threads
+        raise DomainError(f"{name} must be an int, got {value!r}") from None
+    if value < minimum:
+        raise DomainError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 def _shards(count: int) -> list[tuple[int, int, int]]:
@@ -203,29 +193,52 @@ def _shards(count: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+def _map_shards(fn, n: int, count: int, stream: SeededStream, threads: int) -> list:
+    """fn of each shard's (rows, n) block of standard normals, in shard order.
+
+    Shard i draws from stream.shifted(i), so the results do not depend
+    on threads.
+    """
+    def shard(spec):
+        i, _, rows = spec
+        return fn(_NormalSource(stream.shifted(i)).take(rows * n).reshape(rows, n))
+
+    shards = _shards(count)
+    if threads <= 1 or len(shards) <= 1:
+        return [shard(spec) for spec in shards]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(shard, shards))
+
+
+def _directions(model: GaussianModel, g: np.ndarray) -> np.ndarray:
+    """Directions of the draws g L^T + mu; degenerate rows are dropped."""
+    units, _ = standardize_rows(g @ model.chol.T + model.mu)
+    return units
+
+
+def _resultant(model: GaussianModel, count: int, stream: SeededStream,
+               threads: int) -> tuple[np.ndarray, int]:
+    """Sum of the kept directions of count draws, and how many were kept."""
+    def shard_sum(g):
+        units = _directions(model, g)
+        return units.sum(axis=0), units.shape[0]
+
+    total = np.zeros(model.n)
+    kept = 0
+    for vec, rows in _map_shards(shard_sum, model.n, count, stream, threads):
+        total += vec
+        kept += rows
+    return total, kept
 
 
 def sample_mvn(model: GaussianModel, count: int, stream: SeededStream,
                threads: int = 1) -> np.ndarray:
     """count rows drawn from N(mu, cov), shape (count, n)."""
-    count = _validate_count(count)
-    threads = _validate_threads(threads)
+    count = _validate_int(count, "count")
+    threads = _validate_int(threads, "threads")
     lt = model.chol.T
-    mu = model.mu
-    n = model.n
-
-    def one(spec):
-        i, _, rows = spec
-        src = _NormalSource(stream.shifted(i))
-        g = src.take(rows * n).reshape(rows, n)
-        return g @ lt + mu
-
-    blocks = _map_ordered(one, _shards(count), threads)
+    blocks = _map_shards(lambda g: g @ lt + model.mu, model.n, count, stream,
+                         threads)
     return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
 
 
@@ -307,24 +320,9 @@ def estimate_chi_mrl(model: GaussianModel, count: int, stream: SeededStream,
 
     Never materializes the draw matrix, so count = 10^7 is fine.
     """
-    count = _validate_count(count)
-    threads = _validate_threads(threads)
-    lt = model.chol.T
-    mu = model.mu
-    n = model.n
-
-    def one(spec):
-        i, _, rows = spec
-        src = _NormalSource(stream.shifted(i))
-        g = src.take(rows * n).reshape(rows, n)
-        units, _ = standardize_rows(g @ lt + mu)
-        return units.sum(axis=0), units.shape[0]
-
-    total = np.zeros(n)
-    kept = 0
-    for vec, rows in _map_ordered(one, _shards(count), threads):
-        total += vec
-        kept += rows
+    count = _validate_int(count, "count")
+    threads = _validate_int(threads, "threads")
+    total, kept = _resultant(model, count, stream, threads)
     if kept == 0:
         raise DegenerateInputError("every draw was constant across components")
     return float(np.linalg.norm(total / kept))
@@ -351,13 +349,10 @@ def projected_moments_mc(n: int, x: float, count: int, stream: SeededStream,
         raise DimensionError(f"need n >= 2, got {n}")
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"need x >= 0, got {x!r}")
-    count = _validate_count(count, minimum=2)
-    threads = _validate_threads(threads)
+    count = _validate_int(count, "count", minimum=2)
+    threads = _validate_int(threads, "threads")
 
-    def one(spec):
-        i, _, rows = spec
-        src = _NormalSource(stream.shifted(i))
-        g = src.take(rows * n).reshape(rows, n)
+    def shard_moments(g):
         g[:, 0] += x
         norms = np.linalg.norm(g, axis=1)
         u = g[norms > 0.0] / norms[norms > 0.0, None]
@@ -368,7 +363,7 @@ def projected_moments_mc(n: int, x: float, count: int, stream: SeededStream,
     m2 = np.zeros((n, n))
     m4 = np.zeros((n, n))
     kept = 0
-    for a, b, c, rows in _map_ordered(one, _shards(count), threads):
+    for a, b, c, rows in _map_shards(shard_moments, n, count, stream, threads):
         s1 += a
         m2 += b
         m4 += c
@@ -462,30 +457,12 @@ def ic_distribution(model: GaussianModel, theta_mode: str, count: int,
     """
     if theta_mode not in ("chi_mu", "sample_md"):
         raise DomainError(f"theta_mode must be chi_mu or sample_md, got {theta_mode!r}")
-    count = _validate_count(count, minimum=2)
-    threads = _validate_threads(threads)
-    lt = model.chol.T
-    mu = model.mu
-    n = model.n
-
-    def units_of(spec):
-        i, _, rows = spec
-        src = _NormalSource(stream.shifted(i))
-        g = src.take(rows * n).reshape(rows, n)
-        units, _ = standardize_rows(g @ lt + mu)
-        return units
-
-    shards = _shards(count)
+    count = _validate_int(count, "count", minimum=2)
+    threads = _validate_int(threads, "threads")
     if theta_mode == "chi_mu":
-        try:
-            theta = standardize(mu).coords
-        except DegenerateInputError:
-            raise UndefinedMeanDirectionError(
-                "model mean is constant; chi_mu projection undefined", mrl=0.0
-            ) from None
+        theta = _mean_direction(model.mu).coords
     else:
-        sums = _map_ordered(lambda s: units_of(s).sum(axis=0), shards, threads)
-        resultant = np.sum(sums, axis=0)
+        resultant, _ = _resultant(model, count, stream, threads)
         if float(np.linalg.norm(resultant)) <= 1e-12:
             raise UndefinedMeanDirectionError(
                 "sample resultant is zero; sample_md projection undefined",
@@ -493,7 +470,8 @@ def ic_distribution(model: GaussianModel, theta_mode: str, count: int,
             )
         theta = standardize(resultant).coords
 
-    pieces = _map_ordered(lambda s: units_of(s) @ theta, shards, threads)
+    pieces = _map_shards(lambda g: _directions(model, g) @ theta, model.n,
+                         count, stream, threads)
     values = np.concatenate(pieces)
     if float(np.max(np.abs(values))) > 1.0 + 1e-9:
         raise DomainError("projection escaped [-1, 1]; inputs are inconsistent")
@@ -529,7 +507,8 @@ def md_perturbation_experiment(mu, cov, axis: str, factors, count: int,
         raise DomainError("need at least one factor")
     if any(not (k > 0.0 and math.isfinite(k)) for k in factors):
         raise DomainError("factors must be positive and finite")
-    count = _validate_count(count, minimum=2)
+    count = _validate_int(count, "count", minimum=2)
+    threads = _validate_int(threads, "threads")
 
     out = []
     for j, k in enumerate(factors):
@@ -542,22 +521,8 @@ def md_perturbation_experiment(mu, cov, axis: str, factors, count: int,
             scale[0] = k
             cov_k = cov * np.outer(scale, scale)
             mu_k = mu
-        model = GaussianModel(mu_k, cov_k)
-        sub = stream.shifted(j * STREAM_BLOCK)
-        lt = model.chol.T
-
-        def one(spec, lt=lt, mu_vec=model.mu, sub=sub, n=model.n):
-            i, _, rows = spec
-            src = _NormalSource(sub.shifted(i))
-            g = src.take(rows * n).reshape(rows, n)
-            units, _ = standardize_rows(g @ lt + mu_vec)
-            return units.sum(axis=0), units.shape[0]
-
-        total = np.zeros(mu.size)
-        kept = 0
-        for vec, rows in _map_ordered(one, _shards(count), _validate_threads(threads)):
-            total += vec
-            kept += rows
+        total, kept = _resultant(GaussianModel(mu_k, cov_k), count,
+                                 stream.shifted(j * STREAM_BLOCK), threads)
         mean = total / max(kept, 1)
         r = float(np.linalg.norm(mean))
         if r <= 1e-12:

@@ -15,16 +15,14 @@ import numpy as np
 
 from ._linalg import eigh_sorted, fix_column_signs, tie_groups
 from .errors import (
-    DegenerateInputError,
     DimensionError,
     DomainError,
     InvalidCovarianceError,
     NoUniqueSolutionError,
-    UndefinedMeanDirectionError,
 )
-from .moments import HomoscedasticModel, MomentSummary
-from .specfun import DEFAULT_CONTROL, SeriesControl, f_var, varrho
-from .sphere import UnitDirection, standardize
+from .moments import HomoscedasticModel, MomentSummary, _f_g, _mean_direction
+from .specfun import DEFAULT_CONTROL, SeriesControl, varrho
+from .sphere import UnitDirection
 
 __all__ = [
     "OptimizationResult",
@@ -131,21 +129,9 @@ def mean_variance_homoscedastic(
         raise DomainError(
             f"risk_aversion must be >= 0 (inf allowed), got {risk_aversion!r}"
         )
-    try:
-        theta = standardize(model.mu)
-    except DegenerateInputError:
-        raise UndefinedMeanDirectionError(
-            "constant mean vector leaves the objective without a unique "
-            "maximizer",
-            mrl=0.0,
-        ) from None
+    theta = _mean_direction(model.mu)
     x = model.concentration()
-    if model.n == 2:
-        # One-dimensional hyperplane: the variance along the only axis.
-        mrl = varrho(1, x, control)
-        f = 1.0 - mrl * mrl
-    else:
-        f = f_var(model.n - 1, x, control)
+    f, _ = _f_g(model.n, x, control)
     if math.isinf(risk_aversion):
         return OptimizationResult(
             theta_star=theta, value=f, multiplicity=1, variance_only=True

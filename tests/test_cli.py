@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from icsphere import cli, empirical, sphere
+from icsphere import cli, empirical, fixtures, sphere
 from tests.conftest import business_days, one_factor_returns, write_panel_csv
 
 
@@ -22,6 +22,13 @@ def run(argv, capsys):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def assert_same_artifacts(first, second):
+    manifest = read_json(first / "manifest.json")
+    assert manifest["artifacts"]
+    for name in manifest["artifacts"]:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 class TestMoments:
@@ -417,6 +424,24 @@ class TestRerun:
         for name in manifest["artifacts"]:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    @pytest.mark.parametrize("kind", ["moments", "empirical"])
+    def test_threads_ignored_where_command_has_none(
+            self, kind, five_year_panel_csv, tmp_path, capsys):
+        argv = {
+            "moments": ["moments", "--mu", "1,2,4", "--sigma", "1.0",
+                        "--rho", "0.0", "--theta", "1,0,-1"],
+            "empirical": ["empirical", "--input", five_year_panel_csv,
+                          "--rolling", "20"],
+        }[kind]
+        first = tmp_path / "first"
+        assert run(argv + ["--output-dir", str(first)], capsys)[0] == 0
+        second = tmp_path / "second"
+        code, _, err = run(["rerun", "--manifest", str(first / "manifest.json"),
+                            "--output-dir", str(second), "--threads", "2"],
+                           capsys)
+        assert code == 0, err
+        assert_same_artifacts(first, second)
+
     def test_unusable_manifest(self, tmp_path, capsys):
         bad = tmp_path / "m.json"
         bad.write_text("{}")
@@ -424,6 +449,88 @@ class TestRerun:
         assert run(
             ["rerun", "--manifest", str(tmp_path / "missing.json")], capsys
         )[0] == 2
+
+
+def computing_flags(tmp_path, panel_csv):
+    """A non-default value for every option that can change an artifact,
+    per artifact-writing command."""
+    params = tmp_path / "params.json"
+    params.write_text(fixtures.BUNDLED_PARAMS_PATH.read_text())
+    iota = tmp_path / "iota.json"
+    iota.write_text(json.dumps([1.0] + [0.0] * 8 + [-1.0]))
+    sim = {"--params": f"@{params}", "--seed": "5", "--count": "3000"}
+    return {
+        ("moments",): {"--mu": "0.3,-0.1,0.2", "--sigma": "0.5",
+                       "--rho": "0.1", "--theta": "1,0,-1"},
+        ("simulate", "ic-pdf"): {**sim, "--mode": "sample_md",
+                                 "--variant": "hetero", "--bandwidth": "0.05"},
+        ("simulate", "md-perturb"): {**sim, "--axis": "sigma1",
+                                     "--factors": "0.5,2"},
+        ("simulate", "mrl-check"): sim,
+        ("empirical",): {"--input": panel_csv, "--windows": "yearly",
+                         "--rolling": "20", "--iota": f"@{iota}",
+                         "--missing-policy": "drop_row"},
+        ("oracle",): {"--suite": "cov", "--count": "20000", "--seed": "3"},
+    }
+
+
+class TestManifestArgv:
+    @pytest.mark.parametrize("path", [
+        ("moments",), ("simulate", "ic-pdf"), ("simulate", "md-perturb"),
+        ("simulate", "mrl-check"), ("empirical",), ("oracle",),
+    ], ids=lambda p: "-".join(p))
+    def test_every_computing_flag_reaches_manifest(
+            self, path, five_year_panel_csv, tmp_path, capsys):
+        flags = computing_flags(tmp_path, five_year_panel_csv)[path]
+        argv = list(path) + [w for pair in flags.items() for w in pair]
+        parser = cli._build_parser().parse_args(argv).parser
+        options = {a.option_strings[0]: a for a in parser._actions
+                   if a.dest not in ("help", "output_dir", "threads")}
+        # The table covers every option, so a new flag fails here first.
+        assert set(options) == set(flags)
+        for flag, value in flags.items():
+            action = options[flag]
+            assert (action.type or str)(value) != action.default, flag
+
+        first = tmp_path / "first"
+        code, _, _ = run(argv + ["--output-dir", str(first)], capsys)
+        assert code == 0
+        manifest_argv = read_json(first / "manifest.json")["parameters"]["argv"]
+        k = len(path)
+        assert manifest_argv[:k] == list(path)
+        assert dict(zip(manifest_argv[k::2], manifest_argv[k + 1::2])) == flags
+
+        second = tmp_path / "second"
+        code, _, _ = run(["rerun", "--manifest", str(first / "manifest.json"),
+                          "--output-dir", str(second)], capsys)
+        assert code == 0
+        assert_same_artifacts(first, second)
+        assert ((first / "manifest.json").read_bytes()
+                == (second / "manifest.json").read_bytes())
+
+    @pytest.mark.parametrize("kind", ["ic-pdf", "empirical"])
+    def test_manifest_in_earlier_argv_order_reruns(
+            self, kind, five_year_panel_csv, tmp_path, capsys):
+        # Manifests once listed the options in a hand-kept order.
+        old = {
+            "ic-pdf": ["simulate", "ic-pdf", "--mode", "sample_md",
+                       "--variant", "hetero", "--count", "3000",
+                       "--seed", "21"],
+            "empirical": ["empirical", "--input", five_year_panel_csv,
+                          "--windows", "yearly", "--missing-policy",
+                          "cross_mean", "--iota", "md", "--rolling", "20"],
+        }[kind]
+        saved = tmp_path / "old_manifest.json"
+        saved.write_text(json.dumps({"parameters": {"argv": old}}))
+        direct = tmp_path / "direct"
+        assert run(old + ["--output-dir", str(direct)], capsys)[0] == 0
+        again = tmp_path / "again"
+        code, _, _ = run(["rerun", "--manifest", str(saved),
+                          "--output-dir", str(again)], capsys)
+        assert code == 0
+        assert_same_artifacts(direct, again)
+        assert ((direct / "manifest.json").read_bytes()
+                == (again / "manifest.json").read_bytes())
 
 
 class TestModuleEntryPoint:

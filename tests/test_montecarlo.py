@@ -5,7 +5,10 @@ definition; the vectorized source must reproduce it bitwise, at every
 take() boundary, for any shard layout, and for any thread count.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,3 +476,82 @@ class TestClosedFormAgreement:
         # conservative entrywise error scale for bounded coordinates
         se_cov = 4.0 / math.sqrt(count)
         assert np.max(np.abs(cov_hat - truth.cov_chi)) <= se_cov
+
+
+class TestThreadIndependence:
+    """Every sampler gives the same result at any thread count, over
+    more than two full shards."""
+
+    COUNT = 2 * mc.SHARD_ROWS + 777
+    MODEL = moments.GaussianModel(
+        mu=np.array([0.3, -0.1, 0.0]),
+        cov=np.array([[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 2.0]]),
+    )
+
+    def test_ic_distribution_sample_md(self):
+        stream = mc.SeededStream(seed=61)
+        d1, v1 = mc.ic_distribution(self.MODEL, "sample_md", self.COUNT,
+                                    stream, threads=1)
+        d3, v3 = mc.ic_distribution(self.MODEL, "sample_md", self.COUNT,
+                                    stream, threads=3)
+        assert v1.size == self.COUNT
+        assert np.array_equal(v1, v3)
+        assert np.array_equal(d1.density, d3.density)
+
+    def test_projected_moments_mc(self):
+        stream = mc.SeededStream(seed=62)
+        a = mc.projected_moments_mc(4, 0.7, self.COUNT, stream, threads=1)
+        b = mc.projected_moments_mc(4, 0.7, self.COUNT, stream, threads=3)
+        for name in ("mean", "cov", "se_mean", "se_cov"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.count == b.count == self.COUNT
+
+    def test_md_perturbation_experiment(self):
+        stream = mc.SeededStream(seed=63)
+        args = (self.MODEL.mu, self.MODEL.cov, "sigma1", [0.5, 2.0],
+                self.COUNT, stream)
+        a = mc.md_perturbation_experiment(*args, threads=1)
+        b = mc.md_perturbation_experiment(*args, threads=3)
+        for pa, pb in zip(a, b):
+            assert np.array_equal(pa.md.coords, pb.md.coords)
+            assert pa.mrl == pb.mrl
+
+    def test_bad_threads_rejected_before_any_model(self):
+        # threads is checked once, ahead of the per-factor models, so it
+        # wins over the error the indefinite covariance would raise.
+        with pytest.raises(DomainError, match="threads"):
+            mc.md_perturbation_experiment(
+                self.MODEL.mu, -self.MODEL.cov, "mu1", [1.0], 10,
+                mc.SeededStream(seed=1), threads=0,
+            )
+
+
+def _load_spans():
+    """The benchmark's span module, loaded from perfbench/ unchanged."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTraceHooks:
+    def test_shard_kernel_reaches_wrapped_standardize_rows(self):
+        # The benchmark wraps standardize_rows where montecarlo holds it;
+        # a kernel that bound it early would record no row spans.
+        import icsphere.cli  # noqa: F401  (loads every layer the tracer wraps)
+
+        spans = _load_spans()
+        tracer = spans.Tracer()
+        sites = spans.find_sites()
+        model = moments.GaussianModel(mu=np.arange(3.0), cov=np.eye(3))
+        count = 2 * mc.SHARD_ROWS + 10
+        with spans.traced(tracer, sites):
+            mc.estimate_chi_mrl(model, count, mc.SeededStream(seed=4), threads=2)
+        assert spans.unwrapped_problems(sites) == []
+        names = [s.name for s in tracer.spans]
+        assert names.count("sphere.standardize_rows") == 3
+        assert names.count("montecarlo.sampler") == 1
+        metrics = spans.layer_metrics(tracer)
+        assert metrics["sphere.rows_in"] == count
