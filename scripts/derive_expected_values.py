@@ -117,6 +117,16 @@ def main() -> None:
     print(f"M(1/2, 11/2, -0.1288^2/2) = {mpmath.nstr(mpmath.hyp1f1(0.5, 5.5, -0.1288**2 / 2), 17)}")
     print(f"M(1, 2, 1) = e - 1 = {mpmath.nstr(mpmath.hyp1f1(1, 2, 1), 17)}")
 
+    print("\n== large arguments, either side of x = 40 ==")
+    for n, x in [(5, 39.999), (5, 40.0), (5, 50.0)]:
+        print(f"varrho_{n}({x}) = {mpmath.nstr(varrho_ref(n, x), 17)}   "
+              f"f_{n}({x}) = {mpmath.nstr(f_ref(n, x), 17)}   g_{n}({x}) = {mpmath.nstr(g_ref(n, x), 17)}")
+    print(f"M(1, 7/2, -39.999^2/2) = {mpmath.nstr(mpmath.hyp1f1(1, 3.5, -(39.999**2) / 2), 17)}")
+    print(f"M(1, 2001, -1000) = {mpmath.nstr(mpmath.hyp1f1(1, 2001, -1000), 17)}")
+    # moments --mu 1,0,0,0 --sigma 0.02 --rho 0.1: ||P mu|| / (sigma sqrt(1 - rho))
+    x_cli = math.sqrt(0.75) / (0.02 * math.sqrt(1 - 0.1))
+    print(f"x = {x_cli!r} -> varrho_3 = {mpmath.nstr(varrho_ref(3, x_cli), 17)}")
+
     print("\n== support surface areas ==")
     for n in [4, 10, 50, 100, 300]:
         print(f"area({n}) = {mpmath.nstr(area_ref(n), 12)}")

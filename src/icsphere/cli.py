@@ -396,7 +396,7 @@ def _oracle_specfun(checks: list, count: int, seed: int) -> None:
 
     worst = 0.0
     for n in (2, 3, 5, 10, 20, 50, 100, 200):
-        for x in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
+        for x in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 100.0, 1000.0):
             total = (specfun.f_var(n, x) + (n - 1) * specfun.g_var(n, x)
                      + specfun.varrho(n, x) ** 2)
             worst = max(worst, abs(total - 1.0))
@@ -514,10 +514,13 @@ def _cmd_oracle(args) -> int:
 def _cmd_rerun(args) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text())
-        argv = list(manifest["parameters"]["argv"])
+        argv = manifest["parameters"]["argv"]
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise MalformedInputError(f"unusable manifest: {exc}") from None
-    argv += ["--output-dir", str(args.output_dir)]
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise MalformedInputError(
+            f"unusable manifest: argv must be a list of strings, got {argv!r}")
+    argv = argv + ["--output-dir", str(args.output_dir)]
     if args.threads is not None:
         # Only commands that take --threads get it.
         target = _build_parser().parse_args(argv)

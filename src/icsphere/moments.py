@@ -21,7 +21,7 @@ from .errors import (
     ModelError,
     UndefinedMeanDirectionError,
 )
-from .specfun import DEFAULT_CONTROL, SeriesControl, f_var, g_var, varrho
+from .specfun import f_var, g_var, varrho
 from .sphere import UnitDirection, centering_matrix, standardize, _as_vector
 
 __all__ = [
@@ -207,30 +207,28 @@ def _mean_direction(mu: np.ndarray) -> UnitDirection:
         ) from None
 
 
-def _f_g(n: int, x: float, control: SeriesControl) -> tuple[float, float]:
+def _f_g(n: int, x: float) -> tuple[float, float]:
     """Variances of chi(Z) along and across the mean axis, in n coordinates.
 
     f_var and g_var at dimension n - 1. At n = 2 the hyperplane is a
     line: chi(Z) is +-chi(mu), so f = 1 - varrho(1, x)^2 and g = 0.
     """
     if n == 2:
-        mrl = varrho(1, x, control)
+        mrl = varrho(1, x)
         return 1.0 - mrl * mrl, 0.0
-    return f_var(n - 1, x, control), g_var(n - 1, x, control)
+    return f_var(n - 1, x), g_var(n - 1, x)
 
 
-def md_mrl_homoscedastic(model: HomoscedasticModel,
-                         control: SeriesControl = DEFAULT_CONTROL) -> MomentSummary:
+def md_mrl_homoscedastic(model: HomoscedasticModel) -> MomentSummary:
     """Exact mean direction, resultant length, and covariance of chi(Z)."""
     md = _mean_direction(model.mu)
     x = model.concentration()
-    mrl = varrho(model.n - 1, x, control)
-    cov = cov_chi_homoscedastic(model, control)
+    mrl = varrho(model.n - 1, x)
+    cov = cov_chi_homoscedastic(model)
     return MomentSummary(md=md, mrl=mrl, cov_chi=cov)
 
 
-def projected_cov_canonical(n: int, x: float,
-                            control: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
+def projected_cov_canonical(n: int, x: float) -> np.ndarray:
     """diag(f, g, ..., g) in n coordinates at concentration x.
 
     The covariance of the projected direction in the basis whose first
@@ -238,13 +236,12 @@ def projected_cov_canonical(n: int, x: float,
     """
     if n < 2:
         raise DimensionError(f"need n >= 2, got {n}")
-    out = np.diag(np.full(n, g_var(n, x, control)))
-    out[0, 0] = f_var(n, x, control)
+    out = np.diag(np.full(n, g_var(n, x)))
+    out[0, 0] = f_var(n, x)
     return out
 
 
-def cov_chi_homoscedastic(model: HomoscedasticModel,
-                          control: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
+def cov_chi_homoscedastic(model: HomoscedasticModel) -> np.ndarray:
     """Covariance of chi(Z) under the one-variance one-correlation model.
 
     Rank-one plus isotropic on the zero-sum hyperplane:
@@ -256,7 +253,7 @@ def cov_chi_homoscedastic(model: HomoscedasticModel,
         chi = _mean_direction(model.mu).coords
     except UndefinedMeanDirectionError:
         return centering_matrix(n) / (n - 1.0)
-    f, g = _f_g(n, model.concentration(), control)
+    f, g = _f_g(n, model.concentration())
     return (f - g) * np.outer(chi, chi) + g * centering_matrix(n)
 
 
@@ -280,8 +277,7 @@ def variance_T(theta: UnitDirection, cov_chi: np.ndarray) -> float:
     return max(val, 0.0)
 
 
-def variance_T_homoscedastic(theta: UnitDirection, model: HomoscedasticModel,
-                             control: SeriesControl = DEFAULT_CONTROL) -> float:
+def variance_T_homoscedastic(theta: UnitDirection, model: HomoscedasticModel) -> float:
     """var(theta . chi(Z)) without forming the covariance matrix."""
     n = model.n
     if theta.dim != n:
@@ -290,5 +286,5 @@ def variance_T_homoscedastic(theta: UnitDirection, model: HomoscedasticModel,
         alignment = float(theta.coords @ _mean_direction(model.mu).coords)
     except UndefinedMeanDirectionError:
         return 1.0 / (n - 1.0)
-    f, g = _f_g(n, model.concentration(), control)
+    f, g = _f_g(n, model.concentration())
     return (f - g) * alignment ** 2 + g

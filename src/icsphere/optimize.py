@@ -21,7 +21,7 @@ from .errors import (
     NoUniqueSolutionError,
 )
 from .moments import HomoscedasticModel, MomentSummary, _f_g, _mean_direction
-from .specfun import DEFAULT_CONTROL, SeriesControl, varrho
+from .specfun import varrho
 from .sphere import UnitDirection
 
 __all__ = [
@@ -117,7 +117,6 @@ def min_variance(cov_chi) -> OptimizationResult:
 def mean_variance_homoscedastic(
     model: HomoscedasticModel,
     risk_aversion: float,
-    control: SeriesControl = DEFAULT_CONTROL,
 ) -> OptimizationResult:
     """Maximize E[T] - risk_aversion * var(T) under the homoscedastic model.
 
@@ -131,10 +130,10 @@ def mean_variance_homoscedastic(
         )
     theta = _mean_direction(model.mu)
     x = model.concentration()
-    f, _ = _f_g(model.n, x, control)
+    f, _ = _f_g(model.n, x)
     if math.isinf(risk_aversion):
         return OptimizationResult(
             theta_star=theta, value=f, multiplicity=1, variance_only=True
         )
-    value = varrho(model.n - 1, x, control) - risk_aversion * f
+    value = varrho(model.n - 1, x) - risk_aversion * f
     return OptimizationResult(theta_star=theta, value=value, multiplicity=1)

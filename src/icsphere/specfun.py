@@ -8,41 +8,18 @@ function M(a, b, z) evaluated at z = -x^2/2.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = [
-    "SeriesControl",
-    "DEFAULT_CONTROL",
-    "log_gamma",
-    "kummer_m",
-    "varrho",
-    "f_var",
-    "g_var",
-]
+__all__ = ["log_gamma", "kummer_m", "varrho", "f_var", "g_var"]
 
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Evaluation policy for the series and its asymptotic switch-over."""
-
-    rel_tol: float = 1e-14
-    max_terms: int = 10000
-    asymptotic_cutoff: float = 40.0
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise DomainError("rel_tol must be a positive finite float")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-        if not (self.asymptotic_cutoff > 0.0):
-            raise DomainError("asymptotic_cutoff must be positive")
-
-
-DEFAULT_CONTROL = SeriesControl()
+# A series stops once a term is below REL_TOL of its running sum. The
+# reflected series may use _MAX_TERMS terms past |z|, where its terms peak.
+REL_TOL = 1e-14
+_MAX_TERMS = 10000
 
 # Lanczos approximation, g = 7, 9 coefficients.
 _LANCZOS_G = 7.0
@@ -81,8 +58,7 @@ def log_gamma(x: float) -> float:
     return _HALF_LOG_TWO_PI + (y + 0.5) * math.log(t) - t + math.log(acc)
 
 
-def _series_sum(alpha: float, beta: float, w: float,
-                control: SeriesControl) -> tuple[float, float]:
+def _series_sum(alpha: float, beta: float, w: float) -> tuple[float, float]:
     """Sum of M(alpha, beta, w) for w >= 0.
 
     For alpha > 0 every term is positive. For alpha <= 0 (reached when
@@ -93,10 +69,11 @@ def _series_sum(alpha: float, beta: float, w: float,
     term = 1.0
     total = 1.0
     log_scale = 0.0
-    for k in range(control.max_terms):
+    budget = _MAX_TERMS + int(w)
+    for k in range(budget):
         term *= (alpha + k) * w / ((beta + k) * (k + 1.0))
         total += term
-        if abs(term) <= control.rel_tol * abs(total):
+        if abs(term) <= REL_TOL * abs(total):
             return total, log_scale
         if abs(total) > _RESCALE_LIMIT:
             total *= _RESCALE_FACTOR
@@ -104,15 +81,43 @@ def _series_sum(alpha: float, beta: float, w: float,
             log_scale += _RESCALE_LOG
     raise ConvergenceError(
         f"series for M({alpha}, {beta}, {w}) did not converge",
-        terms_used=control.max_terms,
+        terms_used=budget,
     )
 
 
-def kummer_m(a: float, b: float, z: float,
-             control: SeriesControl = DEFAULT_CONTROL) -> float:
+def _large_argument(a: float, b: float, y: float) -> float | None:
+    """M(a, b, -y) from its large-y expansion (DLMF 13.7.2), or None.
+
+    Gamma(b)/Gamma(b-a) y^-a sum_s (a)_s (a-b+1)_s / s! y^-s, used only
+    when b > a, the terms fall below REL_TOL before they start to grow,
+    and the dropped part e^-y y^(a-b) Gamma(b)/Gamma(a) is below REL_TOL
+    of the sum.
+    """
+    if not b > a:
+        return None
+    term = 1.0
+    total = 1.0
+    for s in itertools.count(1):
+        ratio = (a + s - 1.0) * (a - b + s) / (s * y)
+        if abs(ratio) > 1.0:
+            return None
+        term *= ratio
+        total += term
+        if abs(term) <= REL_TOL * abs(total):
+            break
+    # Dropped part over the sum's prefactor, in logs; Gamma(b) cancels.
+    log_gamma_ba = log_gamma(b - a)
+    log_dropped = -y + (2.0 * a - b) * math.log(y) + log_gamma_ba - log_gamma(a)
+    if not (total > 0.0 and log_dropped < math.log(REL_TOL * total)):
+        return None
+    return math.exp(log_gamma(b) - log_gamma_ba - a * math.log(y)) * total
+
+
+def kummer_m(a: float, b: float, z: float) -> float:
     """Kummer's confluent hypergeometric function M(a, b, z) for a, b > 0.
 
-    Negative arguments go through M(a, b, z) = e^z M(b - a, b, -z), whose
+    At z < 0 the large-|z| expansion runs when it meets REL_TOL (see
+    _large_argument); otherwise M(a, b, z) = e^z M(b - a, b, -z), whose
     series has positive terms only. Summing the defining series directly
     at z < 0 loses roughly |z| decimal digits to cancellation, so that
     route is never taken.
@@ -126,10 +131,13 @@ def kummer_m(a: float, b: float, z: float,
     if z == 0.0:
         return 1.0
     if z < 0.0:
-        total, log_scale = _series_sum(b - a, b, -z, control)
+        value = _large_argument(a, b, -z)
+        if value is not None:
+            return value
+        total, log_scale = _series_sum(b - a, b, -z)
         exponent = z + log_scale
     else:
-        total, log_scale = _series_sum(a, b, z, control)
+        total, log_scale = _series_sum(a, b, z)
         exponent = log_scale
     if log_scale == 0.0 and abs(exponent) < 700.0:
         return math.exp(exponent) * total
@@ -150,42 +158,29 @@ def _validate_nx(n: int, x: float, minimum_n: int) -> int:
     return n
 
 
-def varrho(n: int, x: float,
-           control: SeriesControl = DEFAULT_CONTROL) -> float:
+def varrho(n: int, x: float) -> float:
     """Mean resultant length profile in dimension parameter n at x >= 0.
 
-    Strictly increasing from 0 toward 1. Above the asymptotic cutoff the
-    leading-order tail 1 - (n-1)/(2 x^2) takes over.
+    Strictly increasing from 0 toward 1.
     """
     n = _validate_nx(n, x, minimum_n=1)
     if x == 0.0:
         return 0.0
-    if x >= control.asymptotic_cutoff:
-        return 1.0 - (n - 1) / (2.0 * x * x)
     prefactor = math.exp(
         log_gamma((n + 1) / 2.0) - log_gamma((n + 2) / 2.0)
     ) / math.sqrt(2.0)
-    return prefactor * x * kummer_m(0.5, (n + 2) / 2.0, -0.5 * x * x, control)
+    return prefactor * x * kummer_m(0.5, (n + 2) / 2.0, -0.5 * x * x)
 
 
-def f_var(n: int, x: float,
-          control: SeriesControl = DEFAULT_CONTROL) -> float:
+def f_var(n: int, x: float) -> float:
     """Variance of the direction component along the mean axis."""
     n = _validate_nx(n, x, minimum_n=2)
-    if x >= control.asymptotic_cutoff:
-        # Decays like x^-4; zero is the contracted tail value.
-        return 0.0
-    m = kummer_m(1.0, n / 2.0 + 1.0, -0.5 * x * x, control)
-    r = varrho(n, x, control)
+    m = kummer_m(1.0, n / 2.0 + 1.0, -0.5 * x * x)
+    r = varrho(n, x)
     return 1.0 - (n - 1) / n * m - r * r
 
 
-def g_var(n: int, x: float,
-          control: SeriesControl = DEFAULT_CONTROL) -> float:
+def g_var(n: int, x: float) -> float:
     """Variance of a direction component orthogonal to the mean axis."""
     n = _validate_nx(n, x, minimum_n=2)
-    if x >= control.asymptotic_cutoff:
-        # Contracted tail; coarser than the series but only used past
-        # the cutoff, where the closed-form pipelines never evaluate.
-        return (n - 1) / (n * x * x)
-    return kummer_m(1.0, n / 2.0 + 1.0, -0.5 * x * x, control) / n
+    return kummer_m(1.0, n / 2.0 + 1.0, -0.5 * x * x) / n

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from icsphere import cli, empirical, fixtures, sphere
+from icsphere import cli, empirical, fixtures, moments, optimize, sphere
 from tests.conftest import business_days, one_factor_returns, write_panel_csv
 
 
@@ -72,6 +72,32 @@ class TestMoments:
         manifest = read_json(out_dir / "manifest.json")
         assert manifest["command"] == "moments"
         assert "moments.json" in manifest["artifacts"]
+
+    def test_large_concentration(self, capsys):
+        # Concentration 45.6, past x = 40 where a leading-order tail used
+        # to break the trace identity. varrho(3, x) from mpmath at 50
+        # digits (scripts/derive_expected_values.py).
+        code, out, err = run(
+            ["moments", "--mu", "1,0,0,0", "--sigma", "0.02", "--rho", "0.1",
+             "--theta", "0,1,-1,0"],
+            capsys,
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["concentration"] == pytest.approx(45.6435464587638, rel=1e-12)
+        mrl = payload["summary"]["mrl"]
+        assert mrl == pytest.approx(0.99952, rel=1e-12)
+        cov = np.array(payload["summary"]["cov_chi"])
+        assert abs(np.trace(cov) - (1.0 - mrl * mrl)) <= 1e-14
+        model = moments.HomoscedasticModel(
+            mu=np.array([1.0, 0.0, 0.0, 0.0]), sigma=0.02, rho=0.1)
+        theta = sphere.standardize(np.array([0.0, 1.0, -1.0, 0.0]))
+        assert abs(payload["variance"]
+                   - moments.variance_T_homoscedastic(theta, model)) <= 1e-15
+        # f < g here, so the minimum-variance direction is the mean direction.
+        res = optimize.min_variance(cov)
+        align = float(res.theta_star.coords @ np.array(payload["summary"]["md"]))
+        assert abs(abs(align) - 1.0) <= 1e-8
 
     def test_constant_mean_is_degenerate(self, capsys):
         code, _, err = run(
@@ -449,6 +475,19 @@ class TestRerun:
         assert run(
             ["rerun", "--manifest", str(tmp_path / "missing.json")], capsys
         )[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "mrl-check", "--count", 3000],
+        "simulate mrl-check",
+    ], ids=["number", "string"])
+    def test_argv_not_a_list_of_strings(self, argv, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps({"parameters": {"argv": argv}}))
+        code, _, err = run(["rerun", "--manifest", str(bad),
+                            "--output-dir", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert "unusable manifest" in err
+        assert not (tmp_path / "out").exists()
 
 
 def computing_flags(tmp_path, panel_csv):

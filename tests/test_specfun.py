@@ -1,13 +1,15 @@
 """Tests for the confluent-hypergeometric layer.
 
 Reference values were frozen from scripts/derive_expected_values.py
-(mpmath at 50 significant digits). The stdlib (math.lgamma, math.erf)
-and an exact-rational series serve as independent oracles.
+(mpmath at 50 significant digits); the sweeps over n and x call mpmath
+at the same precision directly. The stdlib (math.lgamma, math.erf) and
+an exact-rational series serve as independent oracles.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,35 @@ KUMMER_REF = {
     (0.5, 5.5, -0.1288 ** 2 / 2.0): 0.99924665558416008,
     (1.0, 2.0, 1.0): 1.7182818284590452,
 }
+# Either side of x = 40, where a leading-order tail used to take over.
+VARRHO_LARGE_REF = {
+    (5, 39.999): 0.998751109489851,
+    (5, 40.0): 0.998751171875,
+    (5, 50.0): 0.99920048,
+}
+F_LARGE_REF = {
+    (5, 39.999): 7.8132492145154686e-7,
+    (5, 40.0): 7.812467922102933e-7,
+}
+G_LARGE_REF = {
+    (5, 39.999): 0.00062385999196755375,
+    (5, 40.0): 0.00062382885788049967,
+}
+
+SWEEP_N = [1, 2, 3, 10, 50, 200, 1000, 10 ** 4]
+SWEEP_X = [0.1, 1.0, 5.0, 8.0, 10.0, 15.0, 20.0, 30.0, 39.999, 40.0, 60.0,
+           100.0, 1000.0]
+
+
+def mp_curves(n: int, x: float) -> tuple[float, float, float]:
+    """varrho, f_var and g_var from mpmath's hyp1f1 at 50 digits."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        half_n = mpmath.mpf(n) / 2
+        r = (mpmath.gamma(half_n + 0.5) / (mpmath.sqrt(2) * mpmath.gamma(half_n + 1))
+             * x * mpmath.hyp1f1(0.5, half_n + 1, -x * x / 2))
+        m = mpmath.hyp1f1(1, half_n + 1, -x * x / 2)
+        return float(r), float(1 - (n - 1) / mpmath.mpf(n) * m - r * r), float(m / n)
 
 
 def kummer_reference(a: float, b: float, z: float, max_terms: int = 400) -> float:
@@ -124,14 +155,14 @@ class TestKummerM:
             assert specfun.kummer_m(a, b, z) == pytest.approx(ref, rel=5e-13)
 
     def test_large_negative_argument_no_overflow(self):
-        # z = -x^2/2 just below the asymptotic cutoff: the rescaled
-        # transformed series must survive exp(|z|) ~ 1e347 territory.
+        # exp(|z|) is far past the float range in both cases. The first
+        # takes the large-|z| expansion; in the second its terms grow at
+        # once, so the reflected series runs and must be rescaled.
         z = -(39.999 ** 2) / 2.0
-        val = specfun.kummer_m(1.0, 3.5, z)
-        assert math.isfinite(val)
-        assert 0.0 < val < 1.0
-        # M(1, b, z) ~ (b - 1)/|z| down here
-        assert val == pytest.approx(2.5 / abs(z), rel=5e-2)
+        assert specfun.kummer_m(1.0, 3.5, z) == pytest.approx(
+            0.0031192999598377688, rel=1e-12)
+        assert specfun.kummer_m(1.0, 2001.0, -1000.0) == pytest.approx(
+            0.66674074073525255, rel=1e-12)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
@@ -141,11 +172,13 @@ class TestKummerM:
         with pytest.raises(DomainError):
             specfun.kummer_m(0.5, 5.5, math.nan)
 
-    def test_budget_exhaustion_raises(self):
-        ctl = specfun.SeriesControl(rel_tol=1e-14, max_terms=50)
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        # The series may run _MAX_TERMS terms past |z|; at z = 400 its
+        # terms peak near k = 400 and need about 160 more to converge.
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 50)
         with pytest.raises(ConvergenceError) as exc:
-            specfun.kummer_m(0.5, 5.5, -400.0, ctl)
-        assert exc.value.terms_used == 50
+            specfun.kummer_m(1.0, 2.0, 400.0)
+        assert exc.value.terms_used == 450
 
 
 class TestVarrho:
@@ -171,13 +204,27 @@ class TestVarrho:
             assert all(0.0 <= v < 1.0 for v in vals)
 
     def test_asymptotic_tail(self):
-        assert specfun.varrho(5, 40.0) == 1.0 - 4.0 / (2.0 * 40.0 ** 2)
-        assert specfun.varrho(5, 50.0) == 1.0 - 4.0 / (2.0 * 50.0 ** 2)
+        for key in [(5, 40.0), (5, 50.0)]:
+            assert specfun.varrho(*key) == pytest.approx(
+                VARRHO_LARGE_REF[key], rel=1e-12)
 
     def test_series_continuous_into_tail(self):
-        below = specfun.varrho(5, 39.999)
-        at = specfun.varrho(5, 40.0)
-        assert abs(below - at) < 1e-5
+        for key in [(5, 39.999), (5, 40.0)]:
+            assert specfun.varrho(*key) == pytest.approx(
+                VARRHO_LARGE_REF[key], rel=1e-12)
+            assert specfun.f_var(*key) == pytest.approx(
+                F_LARGE_REF[key], rel=0.0, abs=1e-12)
+            assert specfun.g_var(*key) == pytest.approx(
+                G_LARGE_REF[key], rel=1e-12)
+
+    def test_dense_grid_against_mpmath(self):
+        # Steps of 0.1 up to x = 60 cross every point where kummer_m
+        # switches from the series to the large-|z| expansion.
+        for n in [1, 3, 50, 1000]:
+            for k in range(1, 601):
+                x = k / 10.0
+                assert specfun.varrho(n, x) == pytest.approx(
+                    mp_curves(n, x)[0], rel=1e-12), (n, x)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
@@ -200,9 +247,23 @@ class TestVarianceFunctions:
             assert specfun.g_var(n, x) == pytest.approx(ref, rel=1e-12)
 
     def test_tails(self):
-        assert specfun.f_var(5, 40.0) == 0.0
-        assert specfun.g_var(5, 40.0) == 4.0 / (5.0 * 40.0 ** 2)
-        assert specfun.f_var(5, 39.999) < 2e-5
+        assert specfun.f_var(5, 40.0) == pytest.approx(
+            F_LARGE_REF[(5, 40.0)], rel=0.0, abs=1e-12)
+        assert specfun.g_var(5, 40.0) == pytest.approx(
+            G_LARGE_REF[(5, 40.0)], rel=1e-12)
+
+    def test_sweep_against_mpmath(self):
+        for n in SWEEP_N:
+            for x in SWEEP_X:
+                r = specfun.varrho(n, x)
+                r_ref, f_ref, g_ref = mp_curves(n, x)
+                assert r == pytest.approx(r_ref, rel=1e-11), (n, x)
+                if n == 1:
+                    continue
+                f, g = specfun.f_var(n, x), specfun.g_var(n, x)
+                assert f == pytest.approx(f_ref, rel=0.0, abs=1e-11), (n, x)
+                assert g == pytest.approx(g_ref, rel=1e-11), (n, x)
+                assert abs(f + (n - 1) * g + r * r - 1.0) <= 1e-14, (n, x)
 
     def test_bounds(self):
         for n in [2, 4, 17]:
@@ -240,18 +301,3 @@ class TestVarianceFunctions:
         with pytest.raises(DomainError):
             specfun.f_var(3, -1.0)
 
-
-class TestSeriesControl:
-    def test_defaults(self):
-        ctl = specfun.SeriesControl()
-        assert ctl.rel_tol == 1e-14
-        assert ctl.max_terms == 10000
-        assert ctl.asymptotic_cutoff == 40.0
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            specfun.SeriesControl(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            specfun.SeriesControl(max_terms=0)
-        with pytest.raises(DomainError):
-            specfun.SeriesControl(asymptotic_cutoff=-1.0)
