@@ -582,7 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ic.add_argument("--variant", choices=["base", "hetero"], default="base",
                       help="covariance variant of the bundled set")
     p_ic.add_argument("--bandwidth", type=float, default=None,
-                      help="KDE bandwidth override")
+                      help="KDE bandwidth override, at least (grid step)/16")
 
     p_md = command(sim_sub, ("simulate", "md-perturb"), _cmd_simulate_md_perturb,
                    help="mean direction under parameter scaling")

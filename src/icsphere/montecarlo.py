@@ -404,6 +404,13 @@ class DensityEstimate:
 
 
 _KDE_GRID_POINTS = 512
+# The binning grid has a step of at most h / _KDE_BINS_PER_H. Refining
+# the output grid at most 2048-fold keeps it within 511 * 2048 + 1 <=
+# 2^20 + 1 points and sets the bandwidth floor at (grid step) / 16.
+_KDE_BINS_PER_H = 128
+_KDE_MAX_REFINE = 2048
+# The kernel is cut off at this many bandwidths (relative loss e^-32).
+_KDE_CUTOFF = 8.0
 
 # np.trapz was renamed np.trapezoid in numpy 2.0.
 _trapezoid = getattr(np, "trapezoid", getattr(np, "trapz", None))
@@ -412,8 +419,15 @@ _trapezoid = getattr(np, "trapezoid", getattr(np, "trapz", None))
 def kde(values, bandwidth: float | None = None) -> DensityEstimate:
     """Gaussian KDE with the 0.9 min(sd, IQR/1.34) N^(-1/5) default width.
 
+    The values are linearly binned onto a grid that refines the output
+    grid r-fold, r = ceil(128 * step / h), and convolved with the kernel
+    by FFT (Silverman 1982, AS 176; Wand 1994). Against the direct sum,
+    the error is at most about (d/h)^2 / 8 of the peak, d = step / r.
+
     Zero spread makes the automatic bandwidth collapse; that raises
-    DegenerateInputError rather than returning a delta spike.
+    DegenerateInputError rather than returning a delta spike. A
+    bandwidth below step / 16 raises DomainError, which keeps the
+    binning grid within 2^20 + 1 points.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 1 or vals.size < 2:
@@ -435,13 +449,33 @@ def kde(values, bandwidth: float | None = None) -> DensityEstimate:
     lo = float(vals.min()) - 3.0 * h
     hi = float(vals.max()) + 3.0 * h
     grid = np.linspace(lo, hi, _KDE_GRID_POINTS)
-    dens = np.zeros(_KDE_GRID_POINTS)
-    step = 8192
-    for start in range(0, vals.size, step):
-        chunk = vals[start:start + step]
-        z = (grid[None, :] - chunk[:, None]) / h
-        dens += np.exp(-0.5 * z * z).sum(axis=0)
-    dens /= vals.size * h * math.sqrt(2.0 * math.pi)
+    step = (hi - lo) / (_KDE_GRID_POINTS - 1)
+    refine = _KDE_BINS_PER_H * step / h
+    if not refine <= _KDE_MAX_REFINE:
+        raise DomainError(
+            f"bandwidth {h!r} is below the floor (grid step)/16 = "
+            f"{step / 16.0!r}, which keeps the binned KDE grid within "
+            f"2^20 + 1 points"
+        )
+    r = math.ceil(refine)
+    m = (_KDE_GRID_POINTS - 1) * r + 1
+    d = (hi - lo) / (m - 1)
+
+    pos = (vals - lo) / d
+    left = np.floor(pos).astype(np.int64)
+    frac = pos - left
+    counts = (np.bincount(left, weights=1.0 - frac, minlength=m)
+              + np.bincount(left + 1, weights=frac, minlength=m))
+
+    half = math.ceil(_KDE_CUTOFF * h / d)
+    offsets = np.arange(-half, half + 1) * (d / h)
+    kernel = np.exp(-0.5 * offsets * offsets)
+    size = 1 << (m + 2 * half).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(counts, size) * np.fft.rfft(kernel, size),
+                        size)
+    dens = conv[half:half + m:r] / (vals.size * h * math.sqrt(2.0 * math.pi))
+    # Round-off leaves values near -1e-13 in empty stretches.
+    np.maximum(dens, 0.0, out=dens)
     return DensityEstimate(grid=grid, density=dens, bandwidth=h)
 
 

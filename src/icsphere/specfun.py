@@ -143,7 +143,12 @@ def kummer_m(a: float, b: float, z: float) -> float:
         return math.exp(exponent) * total
     if total == 0.0:
         return 0.0
-    return math.copysign(math.exp(exponent + math.log(abs(total))), total)
+    try:
+        return math.copysign(math.exp(exponent + math.log(abs(total))), total)
+    except OverflowError:
+        raise DomainError(
+            f"M({a!r}, {b!r}, {z!r}) exceeds the float range"
+        ) from None
 
 
 def _validate_nx(n: int, x: float, minimum_n: int) -> int:

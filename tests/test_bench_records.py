@@ -1,0 +1,41 @@
+"""Committed benchmark records must be result lines of perfbench/run.py.
+
+Every ``BENCH_*.json`` at the repository root holds one result line, a
+list of them, or an object whose values are result lines (for example
+``{"parent": ..., "change": ...}``). Each line must report a correct
+run and carry the end-to-end metrics BENCHMARK.json declares, with
+their units. With no such file the test passes trivially.
+"""
+
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _end_to_end_units() -> dict:
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["unit"] for m in declared["end_to_end"]}
+
+
+def _result_lines(record):
+    if isinstance(record, list):
+        return record
+    if isinstance(record, dict):
+        return [record] if "metrics" in record else list(record.values())
+    raise AssertionError(f"expected a JSON object or list, got {type(record).__name__}")
+
+
+def test_records_hold_correct_result_lines():
+    units = _end_to_end_units()
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        lines = _result_lines(json.loads(path.read_text()))
+        assert lines, f"{path.name} holds no result line"
+        for line in lines:
+            assert isinstance(line, dict), f"{path.name}: {line!r} is not a result line"
+            assert line.get("correct") is True, path.name
+            metrics = line["metrics"]
+            assert set(metrics) == set(units), path.name
+            for name, unit in units.items():
+                assert metrics[name]["unit"] == unit, (path.name, name)
+                assert isinstance(metrics[name]["value"], (int, float)), (path.name, name)

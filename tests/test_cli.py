@@ -237,6 +237,30 @@ class TestSimulateIcPdf:
         )
         assert code == 0
 
+    def test_summary_bytes_frozen(self, tmp_path, capsys):
+        # Frozen before the KDE moved to binning: the projections, and so
+        # the summary, must not change with the density estimator.
+        out_dir = tmp_path / "frozen"
+        code, _, _ = run(
+            ["simulate", "ic-pdf", "--mode", "sample_md", "--variant", "hetero",
+             "--count", "5000", "--seed", "7", "--output-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        assert (out_dir / "ic_pdf_summary.json").read_bytes() == (
+            b'{\n'
+            b'  "bandwidth": 0.05009308202554603,\n'
+            b'  "count": 5000,\n'
+            b'  "max": 0.8419896022598569,\n'
+            b'  "mean": 0.035934674959632845,\n'
+            b'  "min": -0.9124820602362045,\n'
+            b'  "mode": "sample_md",\n'
+            b'  "sd": 0.3057543736655234,\n'
+            b'  "seed": 7,\n'
+            b'  "variant": "hetero"\n'
+            b'}\n'
+        )
+
     def test_rejects_bad_mode(self, capsys):
         assert run(
             ["simulate", "ic-pdf", "--mode", "nope", "--count", "10"],

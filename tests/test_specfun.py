@@ -164,6 +164,15 @@ class TestKummerM:
         assert specfun.kummer_m(1.0, 2001.0, -1000.0) == pytest.approx(
             0.66674074073525255, rel=1e-12)
 
+    def test_large_positive_argument(self):
+        # M(1, 2, z) = expm1(z) / z: representable at z = 700, past the
+        # float range at z = 1000 and 20000, where a typed error is due.
+        assert specfun.kummer_m(1.0, 2.0, 700.0) == pytest.approx(
+            math.expm1(700.0) / 700.0, rel=1e-12)
+        for z in (1000.0, 20000.0):
+            with pytest.raises(DomainError, match="float range"):
+                specfun.kummer_m(1.0, 2.0, z)
+
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             specfun.kummer_m(-1.0, 5.5, 0.3)
