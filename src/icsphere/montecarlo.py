@@ -67,14 +67,16 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0x6A09E667F3BCC909
 
-_U_GAMMA = np.uint64(_GAMMA)
 _U_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _U_M2 = np.uint64(0x94D049BB133111EB)
 _U30 = np.uint64(30)
 _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U11 = np.uint64(11)
-_INV_2_53 = 2.0 ** -53
+_INV_2_52 = 2.0 ** -52
+# Polar attempts per block: the block's few buffers stay within L2.
+# The bits do not depend on it.
+_BLOCK_ATTEMPTS = 16384
 
 
 def _mix64_int(v: int) -> int:
@@ -84,10 +86,13 @@ def _mix64_int(v: int) -> int:
     return v ^ (v >> 31)
 
 
-def _mix64_array(v: np.ndarray) -> np.ndarray:
-    v = (v ^ (v >> _U30)) * _U_M1
-    v = (v ^ (v >> _U27)) * _U_M2
-    return v ^ (v >> _U31)
+def _mix64_inplace(v: np.ndarray, scratch: np.ndarray) -> None:
+    for shift, mult in ((_U30, _U_M1), (_U27, _U_M2)):
+        np.right_shift(v, shift, out=scratch)
+        v ^= scratch
+        v *= mult
+    np.right_shift(v, _U31, out=scratch)
+    v ^= scratch
 
 
 @dataclass(frozen=True)
@@ -113,43 +118,48 @@ class SeededStream:
 class _NormalSource:
     """Sequential standard-normal source over one stream.
 
-    Batches are vectorized but bitwise-identical to the scalar
-    definition in the module docstring, including across arbitrary
-    take() boundaries.
+    Polar attempts run in blocks of at most _BLOCK_ATTEMPTS: a block
+    draws the a and b uniforms of its attempts from their own counters
+    (2j+1 and 2j+2), takes 2u - 1 as (raw >> 11) * 2^-52 - 1, and writes
+    the accepted pairs straight into the output. Every uniform is a
+    function of its index alone, so the output is bitwise the scalar
+    definition in the module docstring, for any block size and across
+    arbitrary take() boundaries.
     """
 
     def __init__(self, stream: SeededStream):
-        self._key = np.uint64(stream.key())
+        self._key = stream.key()
         self._attempts = 0
         self._cached: float | None = None
 
-    def _uniform_block(self, first_index: int, count: int) -> np.ndarray:
-        idx = np.arange(first_index + 1, first_index + count + 1, dtype=np.uint64)
-        raw = _mix64_array(self._key + idx * _U_GAMMA)
-        return (raw >> _U11).astype(np.float64) * _INV_2_53
-
     def take(self, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=np.float64)
-        pos = 0
-        if self._cached is not None and count > 0:
+        pos = 1 if self._cached is not None and count > 0 else 0
+        pairs = (count - pos + 1) // 2
+        out = np.empty(pos + 2 * pairs)
+        if pos:
             out[0] = self._cached
             self._cached = None
-            pos = 1
-        need = count - pos
-        if need <= 0:
-            return out
-        pairs_needed = (need + 1) // 2
-        pieces = []
-        got = 0
-        while got < pairs_needed:
-            remaining = pairs_needed - got
-            # Polar acceptance is pi/4; 1.35 overshoots slightly.
-            block = max(256, int(remaining * 1.35) + 16)
-            u = self._uniform_block(2 * self._attempts, 2 * block).reshape(block, 2)
-            a = 2.0 * u[:, 0] - 1.0
-            b = 2.0 * u[:, 1] - 1.0
-            s = a * a + b * b
-            accepted = np.nonzero((s > 0.0) & (s < 1.0))[0]
+        # Polar acceptance is pi/4; 1.35 overshoots slightly.
+        size = min(_BLOCK_ATTEMPTS, int(pairs * 1.35) + 16)
+        # Attempt k of a block is 2k counters past the block's first.
+        ramp = np.arange(size, dtype=np.uint64) * np.uint64(2 * _GAMMA & _MASK64)
+        bufs = [np.empty(size, np.uint64), np.empty(size, np.uint64),
+                np.empty(size), np.empty(size), np.empty(size)]
+        while pos < out.size:
+            remaining = (out.size - pos) // 2
+            block = min(size, int(remaining * 1.35) + 16)
+            raw, scratch, a, b, s = (buf[:block] for buf in bufs)
+            first = 2 * self._attempts + 1  # uniform i has counter i + 1
+            for u, counter in ((a, first), (b, first + 1)):
+                offset = np.uint64((self._key + counter * _GAMMA) & _MASK64)
+                np.add(ramp[:block], offset, out=raw)
+                _mix64_inplace(raw, scratch)
+                raw >>= _U11
+                np.multiply(raw, _INV_2_52, out=u)
+                u -= 1.0
+            np.multiply(a, a, out=s)
+            s += b * b
+            accepted = np.flatnonzero((s > 0.0) & (s < 1.0))
             if accepted.size >= remaining:
                 accepted = accepted[:remaining]
                 # Attempts after the last used one have not happened yet.
@@ -158,16 +168,13 @@ class _NormalSource:
                 self._attempts += block
             s_a = s[accepted]
             m = np.sqrt(-2.0 * np.log(s_a) / s_a)
-            pieces.append(
-                np.column_stack((a[accepted] * m, b[accepted] * m)).ravel()
-            )
-            got += accepted.size
-        flat = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        if need % 2 == 1:
-            self._cached = float(flat[-1])
-            flat = flat[:-1]
-        out[pos:] = flat
-        return out
+            end = pos + 2 * accepted.size
+            np.multiply(a[accepted], m, out=out[pos:end:2])
+            np.multiply(b[accepted], m, out=out[pos + 1:end:2])
+            pos = end
+        if out.size > count:
+            self._cached = float(out[-1])
+        return out[:count]
 
 
 def _validate_int(value: int, name: str, minimum: int = 1) -> int:
@@ -210,9 +217,16 @@ def _map_shards(fn, n: int, count: int, stream: SeededStream, threads: int) -> l
         return list(pool.map(shard, shards))
 
 
+def _draws(model: GaussianModel, g: np.ndarray) -> np.ndarray:
+    """The draws g L^T + mu, with mu added in place."""
+    y = g @ model.chol.T
+    y += model.mu
+    return y
+
+
 def _directions(model: GaussianModel, g: np.ndarray) -> np.ndarray:
     """Directions of the draws g L^T + mu; degenerate rows are dropped."""
-    units, _ = standardize_rows(g @ model.chol.T + model.mu)
+    units, _ = standardize_rows(_draws(model, g))
     return units
 
 
@@ -236,8 +250,7 @@ def sample_mvn(model: GaussianModel, count: int, stream: SeededStream,
     """count rows drawn from N(mu, cov), shape (count, n)."""
     count = _validate_int(count, "count")
     threads = _validate_int(threads, "threads")
-    lt = model.chol.T
-    blocks = _map_shards(lambda g: g @ lt + model.mu, model.n, count, stream,
+    blocks = _map_shards(lambda g: _draws(model, g), model.n, count, stream,
                          threads)
     return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
 
@@ -355,7 +368,8 @@ def projected_moments_mc(n: int, x: float, count: int, stream: SeededStream,
     def shard_moments(g):
         g[:, 0] += x
         norms = np.linalg.norm(g, axis=1)
-        u = g[norms > 0.0] / norms[norms > 0.0, None]
+        kept = norms > 0.0
+        u = g[kept] / norms[kept, None]
         u2 = u * u
         return u.sum(axis=0), u.T @ u, u2.T @ u2, u.shape[0]
 

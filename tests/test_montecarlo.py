@@ -47,6 +47,11 @@ def stream_key(seed: int, stream_id: int) -> int:
 
 def scalar_normals(stream: mc.SeededStream, count: int) -> np.ndarray:
     """First count normals of the stream, one attempt at a time."""
+    return scalar_polar(stream, count)[0]
+
+
+def scalar_polar(stream: mc.SeededStream, count: int):
+    """First count normals, and the attempt that emitted each pair."""
     key = stream_key(stream.seed, stream.stream_id)
 
     def uniform(i: int) -> float:
@@ -54,6 +59,7 @@ def scalar_normals(stream: mc.SeededStream, count: int) -> np.ndarray:
         return (raw >> 11) * 2.0 ** -53
 
     out: list[float] = []
+    pair_attempts: list[int] = []
     attempt = 0
     while len(out) < count:
         u = uniform(2 * attempt)
@@ -66,7 +72,8 @@ def scalar_normals(stream: mc.SeededStream, count: int) -> np.ndarray:
             m = float(np.sqrt(-2.0 * np.log(s) / s))
             out.append(a * m)
             out.append(b * m)
-    return np.array(out[:count])
+            pair_attempts.append(attempt - 1)
+    return np.array(out[:count]), pair_attempts
 
 
 class TestNormalSource:
@@ -100,6 +107,52 @@ class TestNormalSource:
         assert np.array_equal(
             mc._NormalSource(s).take(257), mc._NormalSource(s).take(257)
         )
+
+    def test_block_crossings_match_scalar_reference(self):
+        # Over more than three attempt blocks: odd takes carry the
+        # cached variate across block ends, and the second take ends on
+        # the last accepted pair of its first block.
+        block = mc._BLOCK_ATTEMPTS
+        stream = mc.SeededStream(seed=77, stream_id=5)
+        ref, pair_attempts = scalar_polar(stream, 2 * int(3.1 * block))
+        src = mc._NormalSource(stream)
+        used = 2 * block + 1
+        pieces = [src.take(used)]
+        start = pair_attempts[block] + 1  # pairs 0..block are consumed
+        pairs = sum(start <= j < start + block for j in pair_attempts)
+        # That block's final attempt is rejected, so the attempt count
+        # must stop short of the block's end.
+        assert start + block - 1 not in pair_attempts
+        sizes = [1 + 2 * pairs, 2 * block + 3, 1, 4097]
+        for size in sizes:
+            assert src._attempts == pair_attempts[(used + 1) // 2 - 1] + 1
+            pieces.append(src.take(size))
+            used += size
+        assert used <= ref.size
+        assert np.array_equal(np.concatenate(pieces), ref[:used])
+        assert src._attempts == pair_attempts[(used + 1) // 2 - 1] + 1
+        assert src._attempts > 3 * block
+
+    def test_shard_bits_frozen(self):
+        # Frozen before the sampler moved to attempt blocks: a speedup
+        # must not change the draws.
+        src = mc._NormalSource(mc.SeededStream(20240701))
+        z = src.take(mc.SHARD_ROWS * 10)
+        assert hashlib.sha256(z.tobytes()).hexdigest() == (
+            "80e7880bde91d3e709b145f30bed0664c00553274fcff6a61f4cf1ec0f7dd0bd")
+        assert src._attempts == 416765
+
+    def test_shard_take_memory(self):
+        # One shard's take holds its output and a few block-sized
+        # buffers, not whole-shard temporaries.
+        src = mc._NormalSource(mc.SeededStream(seed=3))
+        tracemalloc.start()
+        try:
+            z = src.take(mc.SHARD_ROWS * 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= z.nbytes + (4 << 20)
 
     def test_moments_sane(self):
         z = mc._NormalSource(mc.SeededStream(seed=12345)).take(200000)
@@ -584,6 +637,16 @@ class TestThreadIndependence:
         # change the draws.
         assert hashlib.sha256(v1.tobytes()).hexdigest() == (
             "d316a7d0eab46de9670d7e37094c5eb130b78df43a2f8ea0035847f592816fe3")
+
+    def test_estimate_chi_mrl_frozen(self):
+        mu, cov = fixtures.model_params(fixtures.load_params(), "ten_base")
+        model = moments.GaussianModel(mu, cov)
+        stream = mc.SeededStream(seed=20240701)
+        a = mc.estimate_chi_mrl(model, self.COUNT, stream, threads=1)
+        b = mc.estimate_chi_mrl(model, self.COUNT, stream, threads=3)
+        assert a == b
+        # Frozen before the sampler moved to attempt blocks.
+        assert float.hex(a) == "0x1.57f9adae8492dp-5"
 
     def test_projected_moments_mc(self):
         stream = mc.SeededStream(seed=62)
