@@ -297,12 +297,11 @@ def _cmd_simulate_mrl_check(args) -> int:
 
 
 def _parse_windows(spec: str, panel: emp.ReturnPanel) -> list[tuple[str, np.ndarray]]:
+    full = ("full", np.ones(panel.t, dtype=bool))
     if spec == "full":
-        return [("full", np.arange(panel.t))]
+        return [full]
     if spec == "yearly":
-        wins = emp.yearly_windows(panel)
-        wins.append(("full", np.arange(panel.t)))
-        return wins
+        return emp.yearly_windows(panel) + [full]
     if ":" in spec:
         lo, hi = spec.split(":", 1)
         try:
@@ -332,9 +331,8 @@ def _cmd_empirical(args) -> int:
     outdir = _ensure_outdir(args)
     artifacts = []
     window_labels = []
-    for label, idx in _parse_windows(args.windows, panel):
-        wanted = [panel.dates[i] for i in idx]
-        sub = spanel.restrict(wanted)
+    for label, rows in _parse_windows(args.windows, panel):
+        sub = spanel.restrict(rows)
         report = emp.window_report(sub, label, iota=iota)
         _write_json(outdir / f"window_{label}.json", report.to_json_dict())
         _write_csv(outdir / f"scatter_spectrum_{label}.csv",
@@ -354,7 +352,7 @@ def _cmd_empirical(args) -> int:
     artifacts.append("correlations.json")
 
     if args.rolling is not None:
-        series = emp.rolling_mrl_cssd(panel, window=args.rolling)
+        series = emp.rolling_mrl_cssd(spanel, window=args.rolling)
         _write_csv(outdir / "rolling.csv", ["date", "mrl", "cssd"],
                    [(d.isoformat(),
                      "" if math.isnan(m) else m, c) for d, m, c in series])

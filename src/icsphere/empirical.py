@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -200,29 +202,34 @@ class StandardizedPanel:
     """
 
     sample: DirectionalSample
-    dates: tuple
+    source: ReturnPanel
     dropped_degenerate: int
     kept: np.ndarray
 
     def __post_init__(self):
         kept = np.array(self.kept, dtype=bool)
-        if len(self.dates) != self.sample.size or int(kept.sum()) != self.sample.size:
-            raise DimensionError("dates and kept must align with the sample rows")
+        if kept.shape != (self.source.t,) or int(kept.sum()) != self.sample.size:
+            raise DimensionError("kept must mask the source rows the sample holds")
         kept.setflags(write=False)
-        object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "kept", kept)
 
-    def restrict(self, keep_dates) -> "StandardizedPanel":
-        """Sub-panel containing only rows whose date is in keep_dates."""
-        wanted = set(keep_dates)
-        mask = np.array([d in wanted for d in self.dates], dtype=bool)
-        if int(mask.sum()) < 1:
+    @cached_property
+    def dates(self) -> tuple:
+        return tuple(itertools.compress(self.source.dates, self.kept))
+
+    def restrict(self, rows) -> "StandardizedPanel":
+        """Sub-panel of the held rows that the source-row mask rows selects."""
+        rows = np.asarray(rows)
+        if rows.dtype != bool or rows.shape != self.kept.shape:
+            raise DimensionError(
+                f"rows must be a boolean mask over {self.source.t} source rows"
+            )
+        kept = self.kept & rows
+        if not kept.any():
             raise DomainError("restriction keeps no rows")
-        kept = self.kept.copy()
-        kept[kept] = mask
         return StandardizedPanel(
-            sample=DirectionalSample(self.sample.matrix[mask]),
-            dates=tuple(d for d, k in zip(self.dates, mask) if k),
+            sample=DirectionalSample(self.sample.matrix[rows[self.kept]]),
+            source=self.source,
             dropped_degenerate=0,
             kept=kept,
         )
@@ -233,10 +240,9 @@ def standardize_panel(panel: ReturnPanel) -> StandardizedPanel:
     units, kept = standardize_rows(panel.returns)
     if units.shape[0] < 1:
         raise DegenerateInputError("every panel row is constant across assets")
-    dates = tuple(d for d, k in zip(panel.dates, kept) if k)
     return StandardizedPanel(
         sample=DirectionalSample(units),
-        dates=dates,
+        source=panel,
         dropped_degenerate=int((~kept).sum()),
         kept=kept,
     )
@@ -380,62 +386,52 @@ def correlation_summary(raw: np.ndarray, units: np.ndarray) -> dict:
     }
 
 
-def rolling_mrl_cssd(panel: ReturnPanel, window: int = 20) -> list[tuple]:
+def rolling_mrl_cssd(spanel: StandardizedPanel, window: int = 20) -> list[tuple]:
     """Rolling concentration and dispersion, right-aligned.
 
     mrl_t is the resultant length of the window's unit directions;
     cssd_t is the cross-sectional dispersion of the window-mean return,
-    (1/sqrt(n)) ||P zbar_t||. Windows containing a non-standardizable
+    (1/sqrt(n)) ||P zbar_t||. Every window is a difference of prefix
+    sums over the source rows. Windows containing a non-standardizable
     row yield NaN mrl. Returns (date, mrl, cssd) tuples.
     """
     if window < 2:
         raise DomainError(f"window must be at least 2, got {window}")
+    panel = spanel.source
     t, n = panel.returns.shape
     if window > t:
         raise DomainError(f"window {window} exceeds the panel length {t}")
-    units, kept = standardize_rows(panel.returns)
-    xfull = np.zeros((t, n))
-    xfull[kept] = units
-    bad = (~kept).astype(np.float64)
+    x = np.zeros((t + 1, n))
+    x[1:][spanel.kept] = spanel.sample.matrix
+    z = np.zeros((t + 1, n))
+    z[1:] = panel.returns
+    bad = np.concatenate([[0], np.cumsum(~spanel.kept)])
+    np.cumsum(x, axis=0, out=x)
+    np.cumsum(z, axis=0, out=z)
 
-    zc = np.vstack([np.zeros(n), np.cumsum(panel.returns, axis=0)])
-    xc = np.vstack([np.zeros(n), np.cumsum(xfull, axis=0)])
-    bc = np.concatenate([[0.0], np.cumsum(bad)])
-
-    out = []
     inv_w = 1.0 / window
-    for t_end in range(window - 1, t):
-        lo, hi = t_end + 1 - window, t_end + 1
-        zbar = (zc[hi] - zc[lo]) * inv_w
-        zbar_c = zbar - zbar.mean()
-        cssd = float(np.linalg.norm(zbar_c)) / math.sqrt(n)
-        if bc[hi] - bc[lo] > 0.0:
-            mrl = math.nan
-        else:
-            xbar = (xc[hi] - xc[lo]) * inv_w
-            mrl = float(np.linalg.norm(xbar))
-        out.append((panel.dates[t_end], mrl, cssd))
-    return out
+    zbar = (z[window:] - z[:-window]) * inv_w
+    zbar -= zbar.mean(axis=1, keepdims=True)
+    cssd = np.linalg.norm(zbar, axis=1) / math.sqrt(n)
+    mrl = np.linalg.norm((x[window:] - x[:-window]) * inv_w, axis=1)
+    mrl[bad[window:] > bad[:-window]] = math.nan
+    return list(zip(panel.dates[window - 1:], mrl.tolist(), cssd.tolist()))
 
 
 def yearly_windows(panel: ReturnPanel,
                    min_rows: int = MIN_YEARLY_ROWS) -> list[tuple[str, np.ndarray]]:
-    """(label, row-index array) per calendar year with enough rows."""
+    """(label, row mask) per calendar year with enough rows."""
     years = np.array([d.year for d in panel.dates])
-    out = []
-    for year in sorted(set(years.tolist())):
-        idx = np.nonzero(years == year)[0]
-        if idx.size >= min_rows:
-            out.append((str(year), idx))
-    return out
+    masks = ((str(year), years == year) for year in np.unique(years))
+    return [(label, mask) for label, mask in masks if int(mask.sum()) >= min_rows]
 
 
 def range_window(panel: ReturnPanel, start: datetime.date,
                  end: datetime.date) -> tuple[str, np.ndarray]:
-    """Row indices with start <= date <= end."""
+    """Row mask of start <= date <= end."""
     if end < start:
         raise DomainError("window end precedes start")
-    idx = np.nonzero([(start <= d <= end) for d in panel.dates])[0]
-    if idx.size < 2:
+    mask = np.array([start <= d <= end for d in panel.dates])
+    if int(mask.sum()) < 2:
         raise DomainError("date range selects fewer than 2 rows")
-    return f"{start.isoformat()}_{end.isoformat()}", idx
+    return f"{start.isoformat()}_{end.isoformat()}", mask

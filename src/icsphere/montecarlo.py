@@ -300,14 +300,23 @@ def sample_chi(model: GaussianModel, count: int, stream: SeededStream,
     return DirectionalSample(units)
 
 
-def estimate_md_mrl(sample: DirectionalSample) -> MomentSummary:
-    """Sample mean direction and mean resultant length."""
-    mean = sample.matrix.mean(axis=0)
+def _sample_mean(total: np.ndarray, kept: int, what: str) -> tuple[np.ndarray, float]:
+    """Mean of kept unit directions that sum to total, and its length.
+
+    The one zero-resultant rule for samples: a mean resultant length of
+    at most 1e-12 leaves the sample mean direction undefined.
+    """
+    mean = total / max(kept, 1)
     r = float(np.linalg.norm(mean))
     if r <= 1e-12:
-        raise UndefinedMeanDirectionError(
-            "sample resultant is zero; mean direction undefined", mrl=r
-        )
+        raise UndefinedMeanDirectionError(f"sample resultant is zero; {what}", mrl=r)
+    return mean, r
+
+
+def estimate_md_mrl(sample: DirectionalSample) -> MomentSummary:
+    """Sample mean direction and mean resultant length."""
+    mean, r = _sample_mean(sample.matrix.sum(axis=0), sample.size,
+                           "mean direction undefined")
     return MomentSummary(md=standardize(mean), mrl=r, cov_chi=None)
 
 
@@ -510,12 +519,8 @@ def ic_distribution(model: GaussianModel, theta_mode: str, count: int,
     if theta_mode == "chi_mu":
         theta = _mean_direction(model.mu).coords
     else:
-        resultant, _ = _resultant(model, count, stream, threads)
-        if float(np.linalg.norm(resultant)) <= 1e-12:
-            raise UndefinedMeanDirectionError(
-                "sample resultant is zero; sample_md projection undefined",
-                mrl=0.0,
-            )
+        resultant, kept = _resultant(model, count, stream, threads)
+        _sample_mean(resultant, kept, "sample_md projection undefined")
         theta = standardize(resultant).coords
 
     pieces = _map_shards(lambda g: _directions(model, g) @ theta, model.n,
@@ -571,11 +576,6 @@ def md_perturbation_experiment(mu, cov, axis: str, factors, count: int,
             mu_k = mu
         total, kept = _resultant(GaussianModel(mu_k, cov_k), count,
                                  stream.shifted(j * STREAM_BLOCK), threads)
-        mean = total / max(kept, 1)
-        r = float(np.linalg.norm(mean))
-        if r <= 1e-12:
-            raise UndefinedMeanDirectionError(
-                f"zero resultant at factor {k}", mrl=r
-            )
+        mean, r = _sample_mean(total, kept, f"mean direction undefined at factor {k}")
         out.append(PerturbationPoint(factor=k, md=standardize(mean), mrl=r))
     return out

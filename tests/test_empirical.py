@@ -2,11 +2,12 @@
 
 import datetime
 import math
+import re
 
 import numpy as np
 import pytest
 
-from icsphere import empirical, sphere
+from icsphere import cli, empirical, sphere
 from icsphere.errors import (
     DegenerateInputError,
     DimensionError,
@@ -119,28 +120,41 @@ class TestLoadPanel:
         assert panel.dropped_rows == 1
         assert panel.filled_cells == 0
 
-    def test_malformed_inputs(self, tmp_path):
+    def test_malformed_inputs(self, tmp_path, capsys):
         cases = {
-            "empty.csv": "",
-            "no_assets.csv": "date,A\n2020-01-02,0.1\n2020-01-03,0.2\n",
+            "empty.csv": ("", "panel file is empty"),
+            "no_assets.csv": (
+                "date,A\n2020-01-02,0.1\n2020-01-03,0.2\n",
+                "header must be 'date'",
+            ),
             "bad_number.csv": (
-                "date,A,B\n2020-01-02,0.1,oops\n2020-01-03,0.2,0.1\n"
+                "date,A,B\n2020-01-02,0.1,oops\n2020-01-03,0.2,0.1\n",
+                "unparseable number 'oops' at row 2, column B",
             ),
             "bad_date.csv": (
-                "date,A,B\n2020/01/02,0.1,0.2\n2020-01-03,0.2,0.1\n"
+                "date,A,B\n2020/01/02,0.1,0.2\n2020-01-03,0.2,0.1\n",
+                "bad date '2020/01/02' at row 2",
             ),
             "unsorted.csv": (
-                "date,A,B\n2020-01-03,0.1,0.2\n2020-01-02,0.2,0.1\n"
+                "date,A,B\n2020-01-03,0.1,0.2\n2020-01-02,0.2,0.1\n",
+                "dates must be strictly increasing",
             ),
             "ragged.csv": (
-                "date,A,B\n2020-01-02,0.1,0.2\n2020-01-03,0.2\n"
+                "date,A,B\n2020-01-02,0.1,0.2\n2020-01-03,0.2\n",
+                "row 3 has 2 cells",
             ),
         }
-        for name, text in cases.items():
+        for name, (text, message) in cases.items():
             path = tmp_path / name
             path.write_text(text)
-            with pytest.raises(MalformedInputError):
+            with pytest.raises(MalformedInputError, match=re.escape(message)):
                 empirical.load_panel(str(path))
+
+        code = cli.main(["empirical", "--input", str(tmp_path / "bad_number.csv"),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert ("unparseable number 'oops' at row 2, column B"
+                in capsys.readouterr().err)
 
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -206,12 +220,42 @@ class TestStandardizePanel:
             returns=matrix, missing_mask=np.zeros((30, 4), dtype=bool),
         )
         spanel = empirical.standardize_panel(rp)
-        sub = spanel.restrict(dates[5:10])
+        rows = np.zeros(30, dtype=bool)
+        rows[5:10] = True
+        sub = spanel.restrict(rows)
         assert sub.sample.size == 5
         assert sub.dates == tuple(dates[5:10])
         assert np.flatnonzero(sub.kept).tolist() == [5, 6, 7, 8, 9]
+        assert sub.source is rp
+        np.testing.assert_array_equal(sub.sample.matrix,
+                                      spanel.sample.matrix[5:10])
         with pytest.raises(DomainError):
-            spanel.restrict([D(1999, 1, 1)])
+            spanel.restrict(np.zeros(30, dtype=bool))
+        for wrong in (np.ones(29, dtype=bool), np.arange(5, 10),
+                      np.ones(30, dtype=int)):
+            with pytest.raises(DimensionError):
+                spanel.restrict(wrong)
+
+    def test_restrict_skips_dropped_rows(self):
+        returns = np.array([
+            [0.01, 0.02, 0.03],
+            [0.02, 0.02, 0.02],
+            [0.00, -0.01, 0.01],
+            [0.03, 0.00, -0.02],
+        ])
+        panel = empirical.ReturnPanel(
+            dates=tuple(business_days(D(2020, 1, 2), 4)),
+            tickers=("A", "B", "C"),
+            returns=returns,
+            missing_mask=np.zeros((4, 3), dtype=bool),
+        )
+        spanel = empirical.standardize_panel(panel)
+        sub = spanel.restrict(np.array([False, True, True, True]))
+        assert sub.kept.tolist() == [False, False, True, True]
+        assert sub.dates == (panel.dates[2], panel.dates[3])
+        np.testing.assert_array_equal(sub.sample.matrix, spanel.sample.matrix[1:])
+        with pytest.raises(DomainError):
+            spanel.restrict(np.array([False, True, False, False]))
 
 
 class TestWindowReport:
@@ -284,7 +328,7 @@ class TestWindowReport:
     def test_needs_two_rows(self):
         rng = np.random.default_rng(3)
         spanel = self.spanel_from(rng.standard_normal((2, 4)))
-        sub = spanel.restrict(spanel.dates[:1])
+        sub = spanel.restrict(np.array([True, False]))
         with pytest.raises(DomainError):
             empirical.window_report(sub, "w")
 
@@ -324,12 +368,12 @@ class TestRollingMrlCssd:
     @staticmethod
     def panel_of(matrix, start=D(2020, 1, 2)):
         dates = business_days(start, matrix.shape[0])
-        return empirical.ReturnPanel(
+        return empirical.standardize_panel(empirical.ReturnPanel(
             dates=tuple(dates),
             tickers=tuple(f"A{j}" for j in range(matrix.shape[1])),
             returns=matrix,
             missing_mask=np.zeros(matrix.shape, dtype=bool),
-        )
+        ))
 
     def test_identical_rows(self):
         row = np.array([0.02, -0.01, 0.02])
@@ -341,8 +385,8 @@ class TestRollingMrlCssd:
         for date, mrl, cssd in out:
             assert mrl == pytest.approx(1.0, abs=1e-12)
             assert cssd == pytest.approx(cssd_expect, abs=1e-15)
-        assert out[0][0] == panel.dates[9]
-        assert out[-1][0] == panel.dates[-1]
+        assert out[0][0] == panel.source.dates[9]
+        assert out[-1][0] == panel.source.dates[-1]
 
     def test_matches_direct_computation(self):
         rng = np.random.default_rng(10)
@@ -351,12 +395,14 @@ class TestRollingMrlCssd:
         window = 20
         out = empirical.rolling_mrl_cssd(panel, window=window)
         units, _ = sphere.standardize_rows(matrix)
-        for k in (0, 17, len(out) - 1):
+        assert len(out) == 60 - window + 1
+        for k in range(len(out)):
             lo = k
             hi = k + window
             xbar = units[lo:hi].mean(axis=0)
             zbar = matrix[lo:hi].mean(axis=0)
             zc = zbar - zbar.mean()
+            assert out[k][0] == panel.source.dates[hi - 1]
             assert out[k][1] == pytest.approx(np.linalg.norm(xbar), abs=1e-12)
             assert out[k][2] == pytest.approx(
                 np.linalg.norm(zc) / math.sqrt(5.0), abs=1e-12
@@ -405,10 +451,12 @@ class TestWindows:
         windows = empirical.yearly_windows(panel)
         labels = [label for label, _ in windows]
         assert labels == ["2014", "2015", "2016", "2017", "2018"]
-        total = sum(idx.size for _, idx in windows)
+        total = sum(int(mask.sum()) for _, mask in windows)
         assert total == panel.t
-        for label, idx in windows:
-            assert all(panel.dates[i].year == int(label) for i in idx)
+        for label, mask in windows:
+            assert mask.dtype == bool and mask.shape == (panel.t,)
+            assert all((d.year == int(label)) == m
+                       for d, m in zip(panel.dates, mask))
 
     def test_yearly_min_rows(self):
         dates = business_days(D(2020, 12, 20), 30)  # straddles the new year
@@ -424,12 +472,15 @@ class TestWindows:
 
     def test_range_window(self, iid_panel_csv):
         panel = empirical.load_panel(iid_panel_csv)
-        label, idx = empirical.range_window(
+        label, mask = empirical.range_window(
             panel, D(2021, 2, 1), D(2021, 2, 28)
         )
         assert label == "2021-02-01_2021-02-28"
+        assert mask.dtype == bool and mask.shape == (panel.t,)
+        assert mask.sum() >= 2
         assert all(
-            D(2021, 2, 1) <= panel.dates[i] <= D(2021, 2, 28) for i in idx
+            (D(2021, 2, 1) <= d <= D(2021, 2, 28)) == m
+            for d, m in zip(panel.dates, mask)
         )
         with pytest.raises(DomainError):
             empirical.range_window(panel, D(2021, 3, 1), D(2021, 2, 1))

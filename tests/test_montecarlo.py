@@ -5,6 +5,7 @@ definition; the vectorized source must reproduce it bitwise, at every
 take() boundary, for any shard layout, and for any thread count.
 """
 
+import datetime
 import hashlib
 import importlib.util
 import math
@@ -16,13 +17,14 @@ import numpy as np
 import pytest
 
 from icsphere import montecarlo as mc
-from icsphere import fixtures, moments, specfun, sphere
+from icsphere import cli, fixtures, moments, specfun, sphere
 from icsphere.errors import (
     DegenerateInputError,
     DimensionError,
     DomainError,
     UndefinedMeanDirectionError,
 )
+from tests.conftest import business_days, one_factor_returns, write_panel_csv
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -524,6 +526,19 @@ class TestICDistribution:
         with pytest.raises(UndefinedMeanDirectionError):
             mc.ic_distribution(model, "chi_mu", 100, mc.SeededStream(seed=1))
 
+    def test_sample_md_tests_the_mean_resultant(self, monkeypatch):
+        # A sum of norm 1.4e-9 over 10^6 kept rows is a mean resultant
+        # of 1.4e-15: undefined for sample_md exactly as for md-perturb.
+        total = np.array([1.0, -1.0, 0.0]) * (1.4e-9 / math.sqrt(2.0))
+        monkeypatch.setattr(mc, "_resultant", lambda *args: (total, 10**6))
+        model = moments.GaussianModel(mu=np.array([0.3, 0.0, -0.3]), cov=np.eye(3))
+        stream = mc.SeededStream(seed=2)
+        with pytest.raises(UndefinedMeanDirectionError):
+            mc.md_perturbation_experiment(model.mu, model.cov, "mu1", [1.0],
+                                          100, stream)
+        with pytest.raises(UndefinedMeanDirectionError):
+            mc.ic_distribution(model, "sample_md", 100, stream)
+
     def test_bad_mode_rejected(self):
         model = moments.GaussianModel(mu=np.zeros(2), cov=np.eye(2))
         with pytest.raises(DomainError):
@@ -705,3 +720,26 @@ class TestTraceHooks:
         assert names.count("montecarlo.sampler") == 1
         metrics = spans.layer_metrics(tracer)
         assert metrics["sphere.rows_in"] == count
+
+    def test_empirical_standardizes_each_row_once(self, tmp_path, capsys):
+        t = 300  # straddles a new year, so two yearly windows and full
+        matrix = one_factor_returns(t, 6, seed=12)
+        matrix[40] = 0.002  # one constant row, dropped as degenerate
+        path = tmp_path / "panel.csv"
+        write_panel_csv(path, business_days(datetime.date(2019, 6, 3), t),
+                        [f"A{j}" for j in range(6)], matrix)
+        spans = _load_spans()
+        tracer = spans.Tracer()
+        sites = spans.find_sites()
+        with spans.traced(tracer, sites):
+            code = cli.main(["empirical", "--input", str(path), "--windows", "yearly",
+                             "--rolling", "20", "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert spans.unwrapped_problems(sites) == []
+        names = [s.name for s in tracer.spans]
+        assert names.count("empirical.standardize_panel") == 1
+        assert names.count("empirical.rolling") == 1
+        metrics = spans.layer_metrics(tracer)
+        assert metrics["sphere.rows_in"] == t
+        assert metrics["sphere.rows_dropped"] == 1
+        assert "3 windows, 1 degenerate rows" in capsys.readouterr().out
