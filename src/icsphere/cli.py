@@ -15,6 +15,7 @@ import argparse
 import csv
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -107,8 +108,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(c) for c in row])
+        # Cells are Python floats, ints or strs; csv writes a float with repr.
+        writer.writerows(rows)
 
 
 def _cell(value) -> str:
@@ -331,6 +332,7 @@ def _cmd_empirical(args) -> int:
     outdir = _ensure_outdir(args)
     artifacts = []
     window_labels = []
+    iso_dates = [d.isoformat() for d in panel.dates]
     for label, rows in _parse_windows(args.windows, panel):
         sub = spanel.restrict(rows)
         report = emp.window_report(sub, label, iota=iota)
@@ -340,8 +342,8 @@ def _cmd_empirical(args) -> int:
                    [(i + 1, float(v)) for i, v in
                     enumerate(report.scatter_eigenvalues)])
         _write_csv(outdir / f"projected_{label}.csv", ["date", "value"],
-                   [(d.isoformat(), float(v)) for d, v in
-                    zip(sub.dates, report.projected_series)])
+                   zip(itertools.compress(iso_dates, sub.kept),
+                       report.projected_series.tolist()))
         artifacts += [f"window_{label}.json", f"scatter_spectrum_{label}.csv",
                       f"projected_{label}.csv"]
         window_labels.append(label)

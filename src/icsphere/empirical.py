@@ -142,10 +142,14 @@ def load_panel(path, missing_policy: str = "cross_mean") -> ReturnPanel:
                 raise MalformedInputError(
                     f"bad date {row[0]!r} at row {lineno}"
                 ) from None
-            rows.append([
-                _parse_cell(cell, f"row {lineno}, column {tickers[j]}")
-                for j, cell in enumerate(row[1:])
-            ])
+            try:
+                rows.append([float(c or "nan") for c in row[1:]])
+            except ValueError:
+                # Blank cells and bad numbers: parse cell by cell.
+                rows.append([
+                    _parse_cell(cell, f"row {lineno}, column {tickers[j]}")
+                    for j, cell in enumerate(row[1:])
+                ])
     if len(rows) < 2:
         raise DimensionError("panel needs at least 2 data rows")
     arr = np.asarray(rows, dtype=np.float64)

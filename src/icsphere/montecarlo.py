@@ -507,9 +507,10 @@ def ic_distribution(model: GaussianModel, theta_mode: str, count: int,
                     threads: int = 1) -> tuple[DensityEstimate, np.ndarray]:
     """Sampled distribution of T = theta . chi(Z).
 
-    theta_mode "chi_mu" projects onto the standardized model mean;
-    "sample_md" projects onto the sample mean direction, regenerating
-    the same draws in a second pass so the result stays deterministic.
+    theta_mode "chi_mu" projects onto the standardized model mean inside
+    each shard. "sample_md" projects onto the sample mean direction: it
+    draws once, holds every shard's kept directions (count * n * 8
+    bytes) until their resultant fixes theta, then projects each shard.
     Returns the density estimate and the raw projections.
     """
     if theta_mode not in ("chi_mu", "sample_md"):
@@ -518,13 +519,20 @@ def ic_distribution(model: GaussianModel, theta_mode: str, count: int,
     threads = _validate_int(threads, "threads")
     if theta_mode == "chi_mu":
         theta = _mean_direction(model.mu).coords
+        pieces = _map_shards(lambda g: _directions(model, g) @ theta, model.n,
+                             count, stream, threads)
     else:
-        resultant, kept = _resultant(model, count, stream, threads)
-        _sample_mean(resultant, kept, "sample_md projection undefined")
+        blocks = _map_shards(lambda g: _directions(model, g), model.n, count,
+                             stream, threads)
+        # Summed in shard order, as _resultant does.
+        resultant = np.zeros(model.n)
+        for units in blocks:
+            resultant += units.sum(axis=0)
+        _sample_mean(resultant, sum(len(units) for units in blocks),
+                     "sample_md projection undefined")
         theta = standardize(resultant).coords
-
-    pieces = _map_shards(lambda g: _directions(model, g) @ theta, model.n,
-                         count, stream, threads)
+        pieces = [units @ theta for units in blocks]
+        del blocks  # the KDE below runs without the held directions
     values = np.concatenate(pieces)
     if float(np.max(np.abs(values))) > 1.0 + 1e-9:
         raise DomainError("projection escaped [-1, 1]; inputs are inconsistent")

@@ -120,6 +120,32 @@ class TestLoadPanel:
         assert panel.dropped_rows == 1
         assert panel.filled_cells == 0
 
+    def test_blank_and_padded_cells(self, tmp_path):
+        # A whitespace-only cell fails float(), so the row of dates[1] is
+        # parsed cell by cell; padded numbers and nan in any case parse
+        # either way.
+        dates = business_days(D(2020, 1, 2), 20)
+        matrix = one_factor_returns(20, 4, seed=8)
+        cells = [[repr(float(v)) for v in row] for row in matrix]
+        cells[0] = ["0.01", "0.02", "-0.01", "0.005"]
+        cells[1] = [" ", " NaN ", " 1e-3 ", "-0.02"]
+        cells[2] = ["nan", "0.02", " 1e-3 ", "0.01"]
+        path = tmp_path / "padded.csv"
+        path.write_text("date,A,B,C,D\n" + "".join(
+            f"{d.isoformat()},{','.join(row)}\n" for d, row in zip(dates, cells)))
+        panel = empirical.load_panel(str(path))
+        assert panel.tickers == ("A", "B", "C", "D")
+        missing = np.zeros((20, 4), dtype=bool)
+        missing[1, :2] = missing[2, 0] = True
+        np.testing.assert_array_equal(panel.missing_mask, missing)
+        assert panel.filled_cells == 3
+        assert panel.returns[0].tolist() == [0.01, 0.02, -0.01, 0.005]
+        assert panel.returns[1, 2:].tolist() == [1e-3, -0.02]
+        assert panel.returns[2, 1:].tolist() == [0.02, 1e-3, 0.01]
+        assert panel.returns[1, :2] == pytest.approx([(1e-3 - 0.02) / 2] * 2)
+        assert panel.returns[2, 0] == pytest.approx((0.02 + 1e-3 + 0.01) / 3)
+        np.testing.assert_array_equal(panel.returns[3:], matrix[3:])
+
     def test_malformed_inputs(self, tmp_path, capsys):
         cases = {
             "empty.csv": ("", "panel file is empty"),

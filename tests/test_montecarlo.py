@@ -527,10 +527,12 @@ class TestICDistribution:
             mc.ic_distribution(model, "chi_mu", 100, mc.SeededStream(seed=1))
 
     def test_sample_md_tests_the_mean_resultant(self, monkeypatch):
-        # A sum of norm 1.4e-9 over 10^6 kept rows is a mean resultant
-        # of 1.4e-15: undefined for sample_md exactly as for md-perturb.
-        total = np.array([1.0, -1.0, 0.0]) * (1.4e-9 / math.sqrt(2.0))
-        monkeypatch.setattr(mc, "_resultant", lambda *args: (total, 10**6))
+        # 10^6 kept rows that sum to norm 1.4e-9 are a mean resultant of
+        # 1.4e-15: undefined for sample_md exactly as for md-perturb.
+        # Both reach the rows through _directions.
+        rows = np.zeros((10**6, 3))
+        rows[0] = np.array([1.0, -1.0, 0.0]) * (1.4e-9 / math.sqrt(2.0))
+        monkeypatch.setattr(mc, "_directions", lambda model, g: rows)
         model = moments.GaussianModel(mu=np.array([0.3, 0.0, -0.3]), cov=np.eye(3))
         stream = mc.SeededStream(seed=2)
         with pytest.raises(UndefinedMeanDirectionError):
@@ -718,6 +720,23 @@ class TestTraceHooks:
         names = [s.name for s in tracer.spans]
         assert names.count("sphere.standardize_rows") == 3
         assert names.count("montecarlo.sampler") == 1
+        metrics = spans.layer_metrics(tracer)
+        assert metrics["sphere.rows_in"] == count
+
+    def test_ic_pdf_sample_md_draws_each_row_once(self):
+        import icsphere.cli  # noqa: F401  (loads every layer the tracer wraps)
+
+        spans = _load_spans()
+        tracer = spans.Tracer()
+        sites = spans.find_sites()
+        model = moments.GaussianModel(mu=np.arange(3.0), cov=np.eye(3))
+        count = 2 * mc.SHARD_ROWS + 10
+        with spans.traced(tracer, sites):
+            mc.ic_distribution(model, "sample_md", count, mc.SeededStream(seed=4),
+                               threads=2)
+        assert spans.unwrapped_problems(sites) == []
+        names = [s.name for s in tracer.spans]
+        assert names.count("sphere.standardize_rows") == 3
         metrics = spans.layer_metrics(tracer)
         assert metrics["sphere.rows_in"] == count
 
