@@ -361,7 +361,9 @@ def correlation_summary(raw: np.ndarray, units: np.ndarray) -> dict:
 
     raw and units must be row-aligned. Off-diagonal entries of each
     correlation matrix are summarized by their mean and standard
-    deviation (ddof=1).
+    deviation (ddof=1). With two columns there is one pair, whose
+    standard deviation is undefined: sd_corr_z and sd_corr_x are then
+    None, written to JSON as null.
     """
     z = np.asarray(raw, dtype=np.float64)
     x = np.asarray(units, dtype=np.float64)
@@ -373,11 +375,11 @@ def correlation_summary(raw: np.ndarray, units: np.ndarray) -> dict:
         if float(m.std(axis=0).min()) <= 0.0:
             raise DegenerateInputError(f"{name} matrix has a zero-variance column")
 
-    def offdiag_summary(m: np.ndarray) -> tuple[float, float]:
+    def offdiag_summary(m: np.ndarray) -> tuple[float, float | None]:
         corr = np.corrcoef(m, rowvar=False)
         iu = np.triu_indices(corr.shape[0], k=1)
         vals = corr[iu]
-        return float(vals.mean()), float(vals.std(ddof=1)) if vals.size > 1 else math.nan
+        return float(vals.mean()), float(vals.std(ddof=1)) if vals.size > 1 else None
 
     mean_z, sd_z = offdiag_summary(z)
     mean_x, sd_x = offdiag_summary(x)

@@ -38,6 +38,10 @@ UNIT_TOL = 1e-12
 DEGENERACY_REL = 1e-12
 DEGENERACY_ABS = 1e-300
 
+# Values per block of standardize_rows: a block and its squares stay in
+# L2 cache while each step runs over them.
+_ROW_BLOCK_VALUES = 1 << 15
+
 
 def _as_vector(z, minimum_size: int = 2) -> np.ndarray:
     arr = np.asarray(z, dtype=np.float64)
@@ -118,28 +122,102 @@ def standardize(z) -> UnitDirection:
     return UnitDirection(_unitize_centered(c))
 
 
+def _row_sums(t: np.ndarray, sequential: bool = False) -> np.ndarray:
+    """Sums over the first axis of t, added in numpy's order for rows.
+
+    Column j of the result equals numpy's add.reduce(t.T, axis=1)[j]
+    bit for bit. numpy sums a row pairwise: fewer than 8 terms in
+    sequence; up to 128 terms in 8 partial sums over every 8th term,
+    joined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), with the
+    terms past the last multiple of 8 added after that in sequence; more
+    terms as the sum of two halves split at a multiple of 8. A matrix
+    whose rows lie closer in memory than its columns (Fortran order) it
+    sums column by column in sequence instead: sequential=True.
+
+    numpy also adds each total to its identity 0.0, which only turns a
+    total of -0.0 into 0.0; that addition is skipped here. Only a row of
+    negative zeros sums to -0.0, and standardize_rows drops such a row
+    whatever the sign of its sum.
+    """
+    n = t.shape[0]
+    if sequential or n < 8:
+        s = t[0] + t[1]
+        for j in range(2, n):
+            s += t[j]
+        return s
+    if n <= 128:
+        tail = n - n % 8
+        r = t[:8] if tail == 8 else t[:8] + t[8:16]
+        for i in range(16, tail, 8):
+            r += t[i:i + 8]
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        s = r[0] + r[1]
+        for j in range(tail, n):
+            s += t[j]
+        return s
+    half = n // 2 - n // 2 % 8
+    return _row_sums(t[:half]) + _row_sums(t[half:])
+
+
 def standardize_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized standardize over the rows of a matrix.
 
     Returns (units, kept) where kept is a boolean mask over input rows
     and units stacks the directions of the surviving rows. Degenerate
     rows are dropped, not errored, because bulk callers expect that.
+
+    The rows are taken in blocks of about _ROW_BLOCK_VALUES values, each
+    copied transposed into reused (n, rows) buffers, so that every step
+    is a long vector op over a block that stays in L2 cache: the mean,
+    the centering, the norm, the degeneracy floor from the row's norm,
+    the division, a second centering pass and the renormalization, per
+    element in that order. Row sums are added in numpy's order for
+    add.reduce(x, axis=1) (see _row_sums), so every output bit equals
+    that of the same steps written as whole-matrix numpy calls, and no
+    result depends on the block size.
     """
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d array, got shape {arr.shape}")
-    if arr.shape[1] < 2:
+    m, n = arr.shape
+    if n < 2:
         raise DimensionError("rows need at least 2 components")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("matrix has non-finite entries")
-    c = arr - arr.mean(axis=1, keepdims=True)
-    r = np.linalg.norm(c, axis=1)
-    floor = np.maximum(DEGENERACY_REL * np.linalg.norm(arr, axis=1), DEGENERACY_ABS)
-    kept = r > floor
-    u = c[kept] / r[kept, None]
-    u -= u.mean(axis=1, keepdims=True)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return u, kept
+    # numpy reduces the rows of a matrix stored column-major column by
+    # column (see _row_sums); a single row it always sums pairwise.
+    sequential = m > 1 and 0 < abs(arr.strides[0]) < abs(arr.strides[1])
+    step = max(_ROW_BLOCK_VALUES // n, 1)
+    units = np.empty((m, n))
+    kept = np.empty(m, dtype=bool)
+    block = np.empty((n, min(step, m)))
+    squares = np.empty_like(block)
+    done = 0
+    for lo in range(0, m, step):
+        b = min(step, m - lo)
+        t, sq = block[:, :b], squares[:, :b]
+        np.copyto(t, arr[lo:lo + b].T)
+        if not np.isfinite(t).all():
+            raise DomainError("matrix has non-finite entries")
+        np.multiply(t, t, out=sq)
+        floor = np.maximum(DEGENERACY_REL * np.sqrt(_row_sums(sq, sequential)),
+                           DEGENERACY_ABS)
+        t -= _row_sums(t, sequential) / n
+        np.multiply(t, t, out=sq)
+        r = np.sqrt(_row_sums(sq, sequential))
+        keep = np.greater(r, floor, out=kept[lo:lo + b])
+        if not keep.all():
+            t, r = t[:, keep], r[keep]
+            sq = sq[:, :r.size]
+        # A second centering pass scrubs the O(eps * scale / r) residual
+        # sum that the first pass leaves when the input is nearly constant.
+        t /= r
+        t -= _row_sums(t) / n
+        np.multiply(t, t, out=sq)
+        t /= np.sqrt(_row_sums(sq))
+        units[done:done + r.size] = t.T
+        done += r.size
+    units.resize((done, n), refcheck=False)
+    return units, kept
 
 
 def helmert_v(n: int) -> np.ndarray:

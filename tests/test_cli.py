@@ -347,6 +347,32 @@ class TestEmpirical:
         expected = empirical.correlation_summary(panel.returns[kept], units)
         assert read_json(out_dir / "correlations.json") == expected
 
+    def test_two_assets_have_one_pair(self, tmp_path, capsys):
+        # One pair has no standard deviation of its correlations; the
+        # run writes null for it instead of failing on a NaN.
+        path = tmp_path / "pair.csv"
+        path.write_text("date,A,B\n2020-01-01,0.1,0.2\n"
+                        "2020-01-02,0.1,0.3\n2020-01-03,0.3,0.2\n")
+        first = tmp_path / "p1"
+        code, _, _ = run(
+            ["empirical", "--input", str(path), "--windows", "full",
+             "--rolling", "2", "--output-dir", str(first)],
+            capsys,
+        )
+        assert code == 0
+        assert (first / "manifest.json").exists()
+        corr = read_json(first / "correlations.json")
+        assert corr["pairs"] == 1
+        assert corr["sd_corr_z"] is None and corr["sd_corr_x"] is None
+        second = tmp_path / "p2"
+        code, _, _ = run(
+            ["rerun", "--manifest", str(first / "manifest.json"),
+             "--output-dir", str(second)],
+            capsys,
+        )
+        assert code == 0
+        assert_same_artifacts(first, second)
+
     def test_range_window(self, five_year_panel_csv, tmp_path, capsys):
         out_dir = tmp_path / "rng"
         code, _, _ = run(

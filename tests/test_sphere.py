@@ -2,6 +2,7 @@
 linear algebra underneath it."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,131 @@ class TestCenterAndStandardize:
         units, kept = sphere.standardize_rows(m)
         assert kept.tolist() == [False, True, False]
         assert units.shape == (1, 5)
+
+
+def standardize_rows_reference(rows):
+    """standardize_rows as whole-matrix numpy calls, the formula the
+    blocked kernel must reproduce bit for bit."""
+    arr = np.asarray(rows, dtype=np.float64)
+    c = arr - arr.mean(axis=1, keepdims=True)
+    r = np.linalg.norm(c, axis=1)
+    floor = np.maximum(sphere.DEGENERACY_REL * np.linalg.norm(arr, axis=1),
+                       sphere.DEGENERACY_ABS)
+    kept = r > floor
+    u = c[kept] / r[kept, None]
+    u -= u.mean(axis=1, keepdims=True)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return u, kept
+
+
+def wide_range(rows: int, n: int, decades: float, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((rows, n))
+            * 10.0 ** rng.uniform(-decades, decades, (rows, n)))
+
+
+def assert_same_bits(got, ref):
+    (units, kept), (ref_units, ref_kept) = got, ref
+    assert np.array_equal(kept, ref_kept)
+    assert units.shape == ref_units.shape
+    assert units.flags.c_contiguous
+    # Compared as bit patterns, so that the sign of a zero counts too.
+    assert np.array_equal(units.view(np.int64), ref_units.view(np.int64))
+
+
+class TestRowSums:
+    SIZES = list(range(2, 18)) + [63, 64, 127, 128, 129, 255, 256, 257, 1000, 10**4]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("decades", [150.0, 3.0])
+    def test_numpy_pairwise_order(self, n, decades):
+        # Terms spanning 10^+-150 make most totals one dominant term;
+        # 10^+-3 makes most totals depend on the order of every addition.
+        x = wide_range(64 if n <= 1000 else 16, n, decades, seed=n)
+        got = sphere._row_sums(np.ascontiguousarray(x.T))
+        assert np.array_equal(got, np.add.reduce(x, axis=1))
+
+    @pytest.mark.parametrize("n", [3, 8, 10, 129])
+    def test_fortran_order_is_sequential(self, n):
+        x = np.asfortranarray(wide_range(64, n, 3.0, seed=n))
+        got = sphere._row_sums(np.ascontiguousarray(x.T), sequential=True)
+        assert np.array_equal(got, np.add.reduce(x, axis=1))
+
+    @pytest.mark.parametrize("n", [8, 10, 129, 1000])
+    def test_data_tells_the_orders_apart(self, n):
+        t = np.ascontiguousarray(wide_range(64, n, 3.0, seed=n).T)
+        assert not np.array_equal(sphere._row_sums(t),
+                                  sphere._row_sums(t, sequential=True))
+
+
+class TestStandardizeRowsBlocks:
+    @staticmethod
+    def with_degenerate_rows(n: int, step: int, seed: int) -> np.ndarray:
+        """Five blocks and a partial one, with degenerate rows at the first,
+        a middle and the last row of a block, one block of them only, and
+        the matrix's last row."""
+        rows = 5 * step + 2
+        x = wide_range(rows, n, 3.0, seed) + np.linspace(-4.0, 4.0, rows)[:, None]
+        x[0] = 2.5
+        x[step - 1] = 0.0
+        x[step + step // 2] = 1.0 + 1e-14 * np.arange(n)
+        x[2 * step:3 * step] = -7.0
+        x[-1] = 1e-310
+        return x
+
+    @pytest.mark.parametrize("block_values", [20, 64, 1000])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 10, 17, 129])
+    def test_bitwise_reference(self, monkeypatch, block_values, n):
+        monkeypatch.setattr(sphere, "_ROW_BLOCK_VALUES", block_values)
+        step = max(block_values // n, 1)
+        x = self.with_degenerate_rows(n, step, seed=n)
+        got = sphere.standardize_rows(x)
+        assert not got[1][[0, step - 1, step + step // 2, 2 * step, -1]].any()
+        assert_same_bits(got, standardize_rows_reference(x))
+
+    @pytest.mark.parametrize("block_values", [20, 64, 1000])
+    def test_layouts_and_dtypes(self, monkeypatch, block_values):
+        monkeypatch.setattr(sphere, "_ROW_BLOCK_VALUES", block_values)
+        x = self.with_degenerate_rows(10, max(block_values // 10, 1), seed=3)
+        wide = np.hstack([x, x[:, ::-1]])
+        fortran = np.asfortranarray(x)
+        cases = [
+            x[:1],
+            x[1:2],
+            fortran,
+            fortran[:, ::-1],
+            *(fortran[i:i + 1] for i in range(1, 9)),  # one row: summed pairwise
+            wide[:, ::2],
+            wide[::-1, 3:13],
+            np.round(x * 1000.0).astype(np.int64),
+            np.arange(40.0).reshape(4, 10) * 5e-324,
+            x * 1e-300,
+        ]
+        for rows in cases:
+            assert_same_bits(sphere.standardize_rows(rows),
+                             standardize_rows_reference(rows))
+
+    def test_no_rows(self):
+        units, kept = sphere.standardize_rows(np.empty((0, 4)))
+        assert units.shape == (0, 4) and kept.shape == (0,)
+
+    def test_non_finite_rejected_in_any_block(self, monkeypatch):
+        monkeypatch.setattr(sphere, "_ROW_BLOCK_VALUES", 20)
+        x = wide_range(50, 4, 3.0, seed=1)
+        x[47, 2] = np.nan
+        with pytest.raises(DomainError):
+            sphere.standardize_rows(x)
+
+    def test_memory_is_output_plus_blocks(self):
+        x = wide_range(65536, 10, 3.0, seed=5)
+        tracemalloc.start()
+        try:
+            units, kept = sphere.standardize_rows(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept.all()
+        assert peak <= units.nbytes + kept.nbytes + 2 * 2**20
 
 
 class TestUnitDirection:
