@@ -200,9 +200,7 @@ def _cmd_simulate_ic_pdf(args) -> int:
     model = moments.GaussianModel(mu, cov)
     stream = montecarlo.SeededStream(args.seed)
     density, values = montecarlo.ic_distribution(
-        model, args.mode, args.count, stream,
-        bandwidth=args.bandwidth, threads=args.threads,
-    )
+        model, args.mode, args.count, stream, bandwidth=args.bandwidth)
     outdir = _ensure_outdir(args)
     _write_csv(outdir / "ic_pdf_density.csv", ["t", "density"],
                zip(density.grid.tolist(), density.density.tolist()))
@@ -232,8 +230,7 @@ def _cmd_simulate_md_perturb(args) -> int:
     factors = [float(f) for f in args.factors.split(",") if f.strip() != ""]
     stream = montecarlo.SeededStream(args.seed)
     points = montecarlo.md_perturbation_experiment(
-        mu, cov, args.axis, factors, args.count, stream, threads=args.threads,
-    )
+        mu, cov, args.axis, factors, args.count, stream)
     base = standardize(mu).coords
     outdir = _ensure_outdir(args)
     n = len(mu)
@@ -268,8 +265,7 @@ def _cmd_simulate_mrl_check(args) -> int:
     closed = specfun.varrho(n - 1, x)
 
     stream = montecarlo.SeededStream(args.seed)
-    mc = montecarlo.estimate_chi_mrl(model, args.count, stream,
-                                     threads=args.threads)
+    mc = montecarlo.estimate_chi_mrl(model, args.count, stream)
     bracket = [0.039, 0.044]
     payload = {
         "projected_mean_norm": pmu_norm,
@@ -417,11 +413,11 @@ def _oracle_specfun(checks: list, count: int, seed: int) -> None:
     checks.append(("specfun.log_gamma", worst <= 1e-13, f"max rel {worst:.3e}"))
 
 
-def _oracle_cov(checks: list, count: int, seed: int, threads: int) -> None:
+def _oracle_cov(checks: list, count: int, seed: int) -> None:
     cases = [(3, 1.0), (5, 0.5), (9, 0.1288)]
     for i, (n, x) in enumerate(cases):
         stream = montecarlo.SeededStream(seed, i * montecarlo.STREAM_BLOCK)
-        mc = montecarlo.projected_moments_mc(n, x, count, stream, threads=threads)
+        mc = montecarlo.projected_moments_mc(n, x, count, stream)
         closed_mean = np.zeros(n)
         closed_mean[0] = specfun.varrho(n, x)
         closed_cov = moments.projected_cov_canonical(n, x)
@@ -483,7 +479,7 @@ def _cmd_oracle(args) -> int:
     if args.suite in ("specfun", "all"):
         _oracle_specfun(checks, args.count, args.seed)
     if args.suite in ("cov", "all"):
-        _oracle_cov(checks, args.count, args.seed, args.threads)
+        _oracle_cov(checks, args.count, args.seed)
     if args.suite in ("optimize", "all"):
         _oracle_optimize(checks, args.count, args.seed)
 
@@ -520,13 +516,7 @@ def _cmd_rerun(args) -> int:
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         raise MalformedInputError(
             f"unusable manifest: argv must be a list of strings, got {argv!r}")
-    argv = argv + ["--output-dir", str(args.output_dir)]
-    if args.threads is not None:
-        # Only commands that take --threads get it.
-        target = _build_parser().parse_args(argv)
-        if hasattr(target, "threads"):
-            argv += ["--threads", str(args.threads)]
-    return main(argv)
+    return main(argv + ["--output-dir", str(args.output_dir)])
 
 
 # ---------------------------------------------------------------- parser
@@ -545,6 +535,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = subparsers.add_parser(path[-1], **kwargs)
         p.set_defaults(run=run, path=path, parser=p)
         return p
+
+    def add_threads(p):
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for old scripts; has no effect")
 
     p_mom = command(sub, ("moments",), _cmd_moments,
                     help="closed-form moments and IC stats")
@@ -569,8 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
         p.add_argument("--count", type=int, default=default_count,
                        help="number of draws")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; results do not depend on this")
+        add_threads(p)
         p.add_argument("--output-dir", default=".",
                        help="artifact directory (default: current)")
 
@@ -618,7 +611,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--count", type=int, default=1_000_000,
                       help="MC draws per check; tolerances scale as 1/sqrt(N)")
     p_or.add_argument("--seed", type=int, default=None)
-    p_or.add_argument("--threads", type=int, default=1)
+    add_threads(p_or)
     p_or.add_argument("--output-dir", default=None,
                       help="write oracle_report.json and a manifest here")
 
@@ -626,7 +619,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="re-execute a manifest bit-identically")
     p_rr.add_argument("--manifest", required=True)
     p_rr.add_argument("--output-dir", default=".")
-    p_rr.add_argument("--threads", type=int, default=None)
+    add_threads(p_rr)
 
     return parser
 

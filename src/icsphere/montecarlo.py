@@ -23,7 +23,6 @@ rows; shard i of a request seeded (seed, stream) uses the stream
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import index as _int_index
 
@@ -36,7 +35,8 @@ from .errors import (
     UndefinedMeanDirectionError,
 )
 from .moments import GaussianModel, MomentSummary, _mean_direction
-from .sphere import UnitDirection, standardize, standardize_rows
+from .sphere import (_ROW_BLOCK_VALUES, UnitDirection, _row_sums, standardize,
+                     standardize_rows)
 
 __all__ = [
     "SHARD_ROWS",
@@ -200,21 +200,14 @@ def _shards(count: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _map_shards(fn, n: int, count: int, stream: SeededStream, threads: int) -> list:
+def _map_shards(fn, n: int, count: int, stream: SeededStream) -> list:
     """fn of each shard's (rows, n) block of standard normals, in shard order.
 
     Shard i draws from stream.shifted(i), so the results do not depend
-    on threads.
+    on how the shards are batched.
     """
-    def shard(spec):
-        i, _, rows = spec
-        return fn(_NormalSource(stream.shifted(i)).take(rows * n).reshape(rows, n))
-
-    shards = _shards(count)
-    if threads <= 1 or len(shards) <= 1:
-        return [shard(spec) for spec in shards]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(shard, shards))
+    return [fn(_NormalSource(stream.shifted(i)).take(rows * n).reshape(rows, n))
+            for i, _, rows in _shards(count)]
 
 
 def _draws(model: GaussianModel, g: np.ndarray) -> np.ndarray:
@@ -230,8 +223,8 @@ def _directions(model: GaussianModel, g: np.ndarray) -> np.ndarray:
     return units
 
 
-def _resultant(model: GaussianModel, count: int, stream: SeededStream,
-               threads: int) -> tuple[np.ndarray, int]:
+def _resultant(model: GaussianModel, count: int,
+               stream: SeededStream) -> tuple[np.ndarray, int]:
     """Sum of the kept directions of count draws, and how many were kept."""
     def shard_sum(g):
         units = _directions(model, g)
@@ -239,19 +232,16 @@ def _resultant(model: GaussianModel, count: int, stream: SeededStream,
 
     total = np.zeros(model.n)
     kept = 0
-    for vec, rows in _map_shards(shard_sum, model.n, count, stream, threads):
+    for vec, rows in _map_shards(shard_sum, model.n, count, stream):
         total += vec
         kept += rows
     return total, kept
 
 
-def sample_mvn(model: GaussianModel, count: int, stream: SeededStream,
-               threads: int = 1) -> np.ndarray:
+def sample_mvn(model: GaussianModel, count: int, stream: SeededStream) -> np.ndarray:
     """count rows drawn from N(mu, cov), shape (count, n)."""
     count = _validate_int(count, "count")
-    threads = _validate_int(threads, "threads")
-    blocks = _map_shards(lambda g: _draws(model, g), model.n, count, stream,
-                         threads)
+    blocks = _map_shards(lambda g: _draws(model, g), model.n, count, stream)
     return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
 
 
@@ -289,11 +279,11 @@ class DirectionalSample:
         return [UnitDirection(row) for row in self.matrix]
 
 
-def sample_chi(model: GaussianModel, count: int, stream: SeededStream,
-               threads: int = 1) -> DirectionalSample:
+def sample_chi(model: GaussianModel, count: int,
+               stream: SeededStream) -> DirectionalSample:
     """Directions of count draws. Degenerate draws (a probability-zero
     event) are dropped rather than errored."""
-    draws = sample_mvn(model, count, stream, threads)
+    draws = sample_mvn(model, count, stream)
     units, _ = standardize_rows(draws)
     if units.shape[0] == 0:
         raise DegenerateInputError("every draw was constant across components")
@@ -336,15 +326,13 @@ def scatter_matrix(sample: DirectionalSample) -> np.ndarray:
     return 0.5 * (scatter + scatter.T)
 
 
-def estimate_chi_mrl(model: GaussianModel, count: int, stream: SeededStream,
-                     threads: int = 1) -> float:
+def estimate_chi_mrl(model: GaussianModel, count: int, stream: SeededStream) -> float:
     """Mean resultant length of chi(Z) by streaming accumulation.
 
     Never materializes the draw matrix, so count = 10^7 is fine.
     """
     count = _validate_int(count, "count")
-    threads = _validate_int(threads, "threads")
-    total, kept = _resultant(model, count, stream, threads)
+    total, kept = _resultant(model, count, stream)
     if kept == 0:
         raise DegenerateInputError("every draw was constant across components")
     return float(np.linalg.norm(total / kept))
@@ -362,23 +350,35 @@ class ProjectedMomentsMC:
     count: int
 
 
-def projected_moments_mc(n: int, x: float, count: int, stream: SeededStream,
-                         threads: int = 1) -> ProjectedMomentsMC:
+def projected_moments_mc(n: int, x: float, count: int,
+                         stream: SeededStream) -> ProjectedMomentsMC:
     """Streaming MC check of the canonical mean varrho e_1 and covariance
-    diag(f, g, ..., g). Memory is O(n^2) regardless of count."""
+    diag(f, g, ..., g). Memory is O(n^2) regardless of count.
+
+    Rows are normalized in place, in transposed L2-sized blocks whose
+    norms add in numpy's order (sphere._row_sums): every bit is that of
+    g / np.linalg.norm(g, axis=1)[:, None]. Rows of norm zero are dropped.
+    """
     n = _int_index(n)
     if n < 2:
         raise DimensionError(f"need n >= 2, got {n}")
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"need x >= 0, got {x!r}")
     count = _validate_int(count, "count", minimum=2)
-    threads = _validate_int(threads, "threads")
+    step = max(_ROW_BLOCK_VALUES // n, 1)
 
     def shard_moments(g):
-        g[:, 0] += x
-        norms = np.linalg.norm(g, axis=1)
-        kept = norms > 0.0
-        u = g[kept] / norms[kept, None]
+        kept = np.empty(g.shape[0], dtype=bool)
+        for lo in range(0, g.shape[0], step):
+            t = g[lo:lo + step].T.copy()
+            t[0] += x
+            r = np.sqrt(_row_sums(t * t))
+            keep = np.greater(r, 0.0, out=kept[lo:lo + step])
+            if not keep.all():
+                r[~keep] = 1.0  # a zero row is dropped below, not divided
+            t /= r
+            g[lo:lo + step] = t.T
+        u = g if kept.all() else g[kept]
         u2 = u * u
         return u.sum(axis=0), u.T @ u, u2.T @ u2, u.shape[0]
 
@@ -386,7 +386,7 @@ def projected_moments_mc(n: int, x: float, count: int, stream: SeededStream,
     m2 = np.zeros((n, n))
     m4 = np.zeros((n, n))
     kept = 0
-    for a, b, c, rows in _map_shards(shard_moments, n, count, stream, threads):
+    for a, b, c, rows in _map_shards(shard_moments, n, count, stream):
         s1 += a
         m2 += b
         m4 += c
@@ -402,9 +402,16 @@ def projected_moments_mc(n: int, x: float, count: int, stream: SeededStream,
                               se_cov=se_cov, count=kept)
 
 
+def _check_mass(mass: float) -> None:
+    if not (0.99 <= mass <= 1.01):
+        raise DomainError(f"density integrates to {mass:.6f}, not 1")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityEstimate:
-    """Gaussian kernel density on a fixed 512-point grid."""
+    """Gaussian kernel density on a fixed 512-point grid. Its trapezoid
+    mass is within 1% of 1 where the grid resolves the kernel (bandwidth
+    >= grid step); kde checks a narrower kernel on its binning grid."""
 
     grid: np.ndarray
     density: np.ndarray
@@ -417,9 +424,8 @@ class DensityEstimate:
             raise DimensionError("grid and density must be equal-length vectors")
         if np.any(dens < 0.0):
             raise DomainError("density must be nonnegative")
-        mass = float(_trapezoid(dens, grid))
-        if not (0.99 <= mass <= 1.01):
-            raise DomainError(f"density integrates to {mass:.6f}, not 1")
+        if not self.bandwidth < float(np.diff(grid).max(initial=0.0)):
+            _check_mass(float(_trapezoid(dens, grid)))
         for name, val in (("grid", grid), ("density", dens)):
             val = np.array(val)
             val.setflags(write=False)
@@ -446,6 +452,7 @@ def kde(values, bandwidth: float | None = None) -> DensityEstimate:
     grid r-fold, r = ceil(128 * step / h), and convolved with the kernel
     by FFT (Silverman 1982, AS 176; Wand 1994). Against the direct sum,
     the error is at most about (d/h)^2 / 8 of the peak, d = step / r.
+    The mass is checked on that binning grid, which resolves the kernel.
 
     Zero spread makes the automatic bandwidth collapse; that raises
     DegenerateInputError rather than returning a delta spike. A
@@ -496,15 +503,17 @@ def kde(values, bandwidth: float | None = None) -> DensityEstimate:
     size = 1 << (m + 2 * half).bit_length()
     conv = np.fft.irfft(np.fft.rfft(counts, size) * np.fft.rfft(kernel, size),
                         size)
-    dens = conv[half:half + m:r] / (vals.size * h * math.sqrt(2.0 * math.pi))
+    scale = vals.size * h * math.sqrt(2.0 * math.pi)
+    _check_mass(float(_trapezoid(conv[half:half + m], dx=d)) / scale)
+    dens = conv[half:half + m:r] / scale
     # Round-off leaves values near -1e-13 in empty stretches.
     np.maximum(dens, 0.0, out=dens)
     return DensityEstimate(grid=grid, density=dens, bandwidth=h)
 
 
 def ic_distribution(model: GaussianModel, theta_mode: str, count: int,
-                    stream: SeededStream, bandwidth: float | None = None,
-                    threads: int = 1) -> tuple[DensityEstimate, np.ndarray]:
+                    stream: SeededStream, bandwidth: float | None = None
+                    ) -> tuple[DensityEstimate, np.ndarray]:
     """Sampled distribution of T = theta . chi(Z).
 
     theta_mode "chi_mu" projects onto the standardized model mean inside
@@ -516,14 +525,13 @@ def ic_distribution(model: GaussianModel, theta_mode: str, count: int,
     if theta_mode not in ("chi_mu", "sample_md"):
         raise DomainError(f"theta_mode must be chi_mu or sample_md, got {theta_mode!r}")
     count = _validate_int(count, "count", minimum=2)
-    threads = _validate_int(threads, "threads")
     if theta_mode == "chi_mu":
         theta = _mean_direction(model.mu).coords
         pieces = _map_shards(lambda g: _directions(model, g) @ theta, model.n,
-                             count, stream, threads)
+                             count, stream)
     else:
         blocks = _map_shards(lambda g: _directions(model, g), model.n, count,
-                             stream, threads)
+                             stream)
         # Summed in shard order, as _resultant does.
         resultant = np.zeros(model.n)
         for units in blocks:
@@ -550,8 +558,7 @@ class PerturbationPoint:
 
 
 def md_perturbation_experiment(mu, cov, axis: str, factors, count: int,
-                               stream: SeededStream,
-                               threads: int = 1) -> list[PerturbationPoint]:
+                               stream: SeededStream) -> list[PerturbationPoint]:
     """Estimated mean direction as one model parameter is scaled.
 
     axis "mu1" multiplies the first mean component by each factor;
@@ -569,7 +576,6 @@ def md_perturbation_experiment(mu, cov, axis: str, factors, count: int,
     if any(not (k > 0.0 and math.isfinite(k)) for k in factors):
         raise DomainError("factors must be positive and finite")
     count = _validate_int(count, "count", minimum=2)
-    threads = _validate_int(threads, "threads")
 
     out = []
     for j, k in enumerate(factors):
@@ -583,7 +589,7 @@ def md_perturbation_experiment(mu, cov, axis: str, factors, count: int,
             cov_k = cov * np.outer(scale, scale)
             mu_k = mu
         total, kept = _resultant(GaussianModel(mu_k, cov_k), count,
-                                 stream.shifted(j * STREAM_BLOCK), threads)
+                                 stream.shifted(j * STREAM_BLOCK))
         mean, r = _sample_mean(total, kept, f"mean direction undefined at factor {k}")
         out.append(PerturbationPoint(factor=k, md=standardize(mean), mrl=r))
     return out

@@ -67,7 +67,7 @@ def test_criterion_02_benchmark_mrl_bracket():
         start = time.monotonic()
         model = benchmark_model()
         mrl = mc.estimate_chi_mrl(
-            model, 1_000_000, mc.SeededStream(cli.DEFAULT_SEED), threads=1
+            model, 1_000_000, mc.SeededStream(cli.DEFAULT_SEED)
         )
         assert 0.039 <= mrl <= 0.044
         assert time.monotonic() - start < 60.0
@@ -99,7 +99,7 @@ def test_criterion_04_projected_moments_match_mc():
         start = time.monotonic()
         for i, (n, x) in enumerate([(3, 1.0), (5, 0.5), (9, 0.1288)]):
             stream = mc.SeededStream(cli.DEFAULT_SEED, i * mc.STREAM_BLOCK)
-            res = mc.projected_moments_mc(n, x, 10_000_000, stream, threads=4)
+            res = mc.projected_moments_mc(n, x, 10_000_000, stream)
             closed_mean = np.zeros(n)
             closed_mean[0] = specfun.varrho(n, x)
             closed_cov = moments.projected_cov_canonical(n, x)
@@ -125,7 +125,7 @@ def test_criterion_05_two_asset_case():
         model = moments.GaussianModel(mu=np.array([mu1, mu2]), cov=cov)
         count = 1_000_000
         mrl_hat = mc.estimate_chi_mrl(
-            model, count, mc.SeededStream(cli.DEFAULT_SEED), threads=4
+            model, count, mc.SeededStream(cli.DEFAULT_SEED)
         )
         se = math.sqrt((1.0 - closed.mrl ** 2) / count)
         assert abs(mrl_hat - closed.mrl) <= 4.0 * se

@@ -500,23 +500,39 @@ class TestRerun:
         for name in manifest["artifacts"]:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    @pytest.mark.parametrize("kind", ["moments", "empirical"])
+    @pytest.mark.parametrize("kind", [
+        "moments", "empirical", "mrl-check", "ic-pdf-sample-md", "oracle-cov",
+    ])
     def test_threads_ignored_where_command_has_none(
             self, kind, five_year_panel_csv, tmp_path, capsys):
-        argv = {
-            "moments": ["moments", "--mu", "1,2,4", "--sigma", "1.0",
-                        "--rho", "0.0", "--theta", "1,0,-1"],
-            "empirical": ["empirical", "--input", five_year_panel_csv,
-                          "--rolling", "20"],
+        # --threads is accepted, and ignored, by simulate, oracle and rerun:
+        # old scripts and the benchmark argv pass it.
+        argv, accepts_threads = {
+            "moments": (["moments", "--mu", "1,2,4", "--sigma", "1.0",
+                         "--rho", "0.0", "--theta", "1,0,-1"], False),
+            "empirical": (["empirical", "--input", five_year_panel_csv,
+                           "--rolling", "20"], False),
+            "mrl-check": (["simulate", "mrl-check", "--count", "3000"], True),
+            "ic-pdf-sample-md": (["simulate", "ic-pdf", "--mode", "sample_md",
+                                  "--count", "3000"], True),
+            "oracle-cov": (["oracle", "--suite", "cov", "--count", "3000"], True),
         }[kind]
+        plain = tmp_path / "plain"
+        assert run(argv + ["--output-dir", str(plain)], capsys)[0] == 0
         first = tmp_path / "first"
-        assert run(argv + ["--output-dir", str(first)], capsys)[0] == 0
+        flag = ["--threads", "2"] if accepts_threads else []
+        assert run(argv + flag + ["--output-dir", str(first)], capsys)[0] == 0
+        manifest = read_json(first / "manifest.json")
+        assert "--threads" not in manifest["parameters"]["argv"]
         second = tmp_path / "second"
         code, _, err = run(["rerun", "--manifest", str(first / "manifest.json"),
                             "--output-dir", str(second), "--threads", "2"],
                            capsys)
         assert code == 0, err
-        assert_same_artifacts(first, second)
+        for out in (first, second):
+            assert_same_artifacts(plain, out)
+            assert ((plain / "manifest.json").read_bytes()
+                    == (out / "manifest.json").read_bytes())
 
     def test_unusable_manifest(self, tmp_path, capsys):
         bad = tmp_path / "m.json"

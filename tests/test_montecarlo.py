@@ -2,7 +2,7 @@
 
 The scalar generator written out in plain Python here is the reference
 definition; the vectorized source must reproduce it bitwise, at every
-take() boundary, for any shard layout, and for any thread count.
+take() boundary, and for any shard layout.
 """
 
 import datetime
@@ -11,6 +11,7 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,15 +210,6 @@ class TestSampleMVN:
         ]
         assert np.array_equal(full, np.vstack(parts))
 
-    def test_threads_do_not_change_output(self):
-        model = moments.GaussianModel(mu=np.zeros(4), cov=np.eye(4))
-        stream = mc.SeededStream(seed=5)
-        count = mc.SHARD_ROWS + 1000
-        assert np.array_equal(
-            mc.sample_mvn(model, count, stream, threads=1),
-            mc.sample_mvn(model, count, stream, threads=4),
-        )
-
     def test_first_row_matches_reference(self):
         mu = np.array([1.0, 2.0])
         cov = np.array([[4.0, 1.0], [1.0, 2.0]])
@@ -323,16 +315,58 @@ class TestEstimators:
         streaming = mc.estimate_chi_mrl(model, 5000, stream)
         assert streaming == pytest.approx(direct, abs=1e-12)
 
-    def test_streaming_mrl_threads_agree(self):
-        model = moments.GaussianModel(mu=np.arange(3.0), cov=np.eye(3))
-        stream = mc.SeededStream(seed=13)
-        count = mc.SHARD_ROWS + 500
-        a = mc.estimate_chi_mrl(model, count, stream, threads=1)
-        b = mc.estimate_chi_mrl(model, count, stream, threads=3)
-        assert a == b
+
+def moments_digest(res):
+    return [hashlib.sha256(getattr(res, name).tobytes()).hexdigest()
+            for name in ("mean", "cov", "se_mean", "se_cov")]
 
 
 class TestProjectedMomentsMC:
+    # Frozen before the shard kernel moved to transposed row blocks. The
+    # cases reach each branch of sphere._row_sums (n < 8, 8 <= n <= 128,
+    # n > 128) and end on a partial shard and a partial block.
+    @pytest.mark.parametrize("n,x,count,seed,digest", [
+        (3, 1.0, 2 * mc.SHARD_ROWS + 777, 71, [
+            "37e80eb0edfed332eb307add0acc231ee7e0adbf758b0fd1fcde33a600847b95",
+            "911bd1304a895151e542b06728a86108f9f911961bf16ca8909f0f3099b19b32",
+            "84d06d93075d30922a96d660a5f941849cbfd788385edae4e0a191ac01472e42",
+            "a84a885d1e7295a6b28ece3ccfbf21d9f78b77ed49d184fbd493d78c745c2760"]),
+        (9, 0.1288, mc.SHARD_ROWS + 5, 72, [
+            "6cfb7177def6b7fcedadb6be44eec566494c08ca2f29aa928c9ddd19db0dfff4",
+            "592b5da9a862804072ab9294e7ab52364e26c54e10b60e116a6aad2c84a86d2e",
+            "89e6d29b89e3e77391e39758e490666832230408ec4f503c573e3f0d986979c0",
+            "db6b9d1c2be16b37352eac2878b6368fbe39e7de721fa9caebdade5ca077c0b7"]),
+        (200, 5.0, 5000, 73, [
+            "5124b2b79e9728ca8e8e792d4801eed5db21b56fbd64a80950b4ad22fd5ac3bf",
+            "3c6041df0e21194e5a4fa7b9478d5205b7445b47a32147f32a2c79714a440f8f",
+            "fa9646bf8e061ad96278929f1eb2cf7ed91348ab3500adfc93f2488e2c23825a",
+            "74a74b41506e7a707b026cdabea54cc287d84ab05b24b404d7b2060ed25ab36c"]),
+    ], ids=["n3", "n9", "n200"])
+    def test_frozen_bits(self, n, x, count, seed, digest):
+        res = mc.projected_moments_mc(n, x, count, mc.SeededStream(seed=seed))
+        assert res.count == count
+        assert moments_digest(res) == digest
+
+    def test_zero_row_dropped_without_warning(self, monkeypatch):
+        n = 5
+        take = mc._NormalSource.take
+
+        def take_with_zero_row(source, count):
+            out = take(source, count)
+            out[n:2 * n] = 0.0  # the second row of every shard
+            return out
+
+        monkeypatch.setattr(mc._NormalSource, "take", take_with_zero_row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = mc.projected_moments_mc(n, 0.0, 3000, mc.SeededStream(seed=74))
+        assert res.count == 2999
+        assert moments_digest(res) == [
+            "ed94b37423b7f4625dce043187d87779a6d92bad5b1ad9c148178e04530ab756",
+            "a63116085852bb121e5ac24264d192d30fe36df989092c79dbf22b0fdea51303",
+            "cffa0d640091436424b343bcca0ba409958b31e201d3944c1676dd26acd21f8d",
+            "4aebcd2cdf76ec78ae294ff03d36cca80e27c89908b759e6c965709c010349d7"]
+
     def test_recovers_closed_forms(self):
         n, x, count = 3, 1.0, 200000
         res = mc.projected_moments_mc(n, x, count, mc.SeededStream(seed=101))
@@ -399,6 +433,8 @@ class TestKDE:
         grid = np.linspace(0.0, 1.0, 11)
         with pytest.raises(DomainError):
             mc.DensityEstimate(grid=grid, density=np.full(11, 3.0), bandwidth=1.0)
+        # Unchecked where the grid does not resolve the kernel.
+        mc.DensityEstimate(grid=grid, density=np.full(11, 3.0), bandwidth=0.05)
 
 
 def direct_sum_kde(values, grid, h):
@@ -435,7 +471,7 @@ class TestKDEAgainstDirectSum:
         mu, cov = fixtures.model_params(fixtures.load_params(), "ten_hetero")
         est, values = mc.ic_distribution(
             moments.GaussianModel(mu, cov), "sample_md", 1 << 16,
-            mc.SeededStream(seed=3), threads=2,
+            mc.SeededStream(seed=3),
         )
         assert relative_error(values, est) <= 1e-6
 
@@ -471,6 +507,24 @@ class TestKDEAgainstDirectSum:
         assert peak < 4 << 20
         with pytest.raises(DomainError, match="floor"):
             mc.kde(vals, bandwidth_at(vals, 17.0))
+
+    @pytest.mark.parametrize("k", [15.0, 16.0])
+    def test_sparse_sample_near_floor(self, k):
+        # The 512-point grid does not resolve a kernel this narrow: its
+        # trapezoid reads a mass of 0.985. The mass is checked on the
+        # binning grid instead.
+        vals = mc._NormalSource(mc.SeededStream(seed=5)).take(20000)
+        est = mc.kde(vals, bandwidth_at(vals, k))
+        assert float(np.trapezoid(est.density, est.grid)) < 0.99
+        assert relative_error(vals, est) <= binning_bound(est) + 1e-12
+
+    def test_mass_checked_on_binning_grid(self, monkeypatch):
+        # A kernel cut off at h / 2 holds about 38% of the mass; near the
+        # floor only kde's own check can see that.
+        vals = mc._NormalSource(mc.SeededStream(seed=5)).take(20000)
+        monkeypatch.setattr(mc, "_KDE_CUTOFF", 0.5)
+        with pytest.raises(DomainError, match="integrates to 0.38"):
+            mc.kde(vals, bandwidth_at(vals, 15.0))
 
     def test_just_above_floor(self):
         # At h = step / 15 the 512-point grid can no longer integrate a
@@ -632,8 +686,7 @@ class TestClosedFormAgreement:
 
 
 class TestThreadIndependence:
-    """Every sampler gives the same result at any thread count, over
-    more than two full shards."""
+    """Every sampler's bits, frozen over more than two full shards."""
 
     COUNT = 2 * mc.SHARD_ROWS + 777
     MODEL = moments.GaussianModel(
@@ -643,13 +696,8 @@ class TestThreadIndependence:
 
     def test_ic_distribution_sample_md(self):
         stream = mc.SeededStream(seed=61)
-        d1, v1 = mc.ic_distribution(self.MODEL, "sample_md", self.COUNT,
-                                    stream, threads=1)
-        d3, v3 = mc.ic_distribution(self.MODEL, "sample_md", self.COUNT,
-                                    stream, threads=3)
+        _, v1 = mc.ic_distribution(self.MODEL, "sample_md", self.COUNT, stream)
         assert v1.size == self.COUNT
-        assert np.array_equal(v1, v3)
-        assert np.array_equal(d1.density, d3.density)
         # Frozen before the KDE moved to binning: a speedup must not
         # change the draws.
         assert hashlib.sha256(v1.tobytes()).hexdigest() == (
@@ -659,38 +707,36 @@ class TestThreadIndependence:
         mu, cov = fixtures.model_params(fixtures.load_params(), "ten_base")
         model = moments.GaussianModel(mu, cov)
         stream = mc.SeededStream(seed=20240701)
-        a = mc.estimate_chi_mrl(model, self.COUNT, stream, threads=1)
-        b = mc.estimate_chi_mrl(model, self.COUNT, stream, threads=3)
-        assert a == b
+        a = mc.estimate_chi_mrl(model, self.COUNT, stream)
         # Frozen before the sampler moved to attempt blocks.
         assert float.hex(a) == "0x1.57f9adae8492dp-5"
 
     def test_projected_moments_mc(self):
         stream = mc.SeededStream(seed=62)
-        a = mc.projected_moments_mc(4, 0.7, self.COUNT, stream, threads=1)
-        b = mc.projected_moments_mc(4, 0.7, self.COUNT, stream, threads=3)
-        for name in ("mean", "cov", "se_mean", "se_cov"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert a.count == b.count == self.COUNT
+        a = mc.projected_moments_mc(4, 0.7, self.COUNT, stream)
+        assert a.count == self.COUNT
+        # Frozen before the shard kernel moved to transposed row blocks.
+        assert moments_digest(a) == [
+            "a718e8b8d5219417dde00f346f44c38aa6f3deb0dfbb29dd3b3cbe4a29635be5",
+            "9c3645240c07bdba5591f350a2c1a83cddc18cdec089728793a8abe6d32e06d0",
+            "d37ca521997b2708dccc9b98a9a127eb2dd9d376b54117a1332a893682a7335a",
+            "3cbbd2e97be3408285ae2b11d8a084643c1ccd2b596f297c2555d61511f3d9d9"]
 
     def test_md_perturbation_experiment(self):
         stream = mc.SeededStream(seed=63)
         args = (self.MODEL.mu, self.MODEL.cov, "sigma1", [0.5, 2.0],
                 self.COUNT, stream)
-        a = mc.md_perturbation_experiment(*args, threads=1)
-        b = mc.md_perturbation_experiment(*args, threads=3)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.md.coords, pb.md.coords)
-            assert pa.mrl == pb.mrl
-
-    def test_bad_threads_rejected_before_any_model(self):
-        # threads is checked once, ahead of the per-factor models, so it
-        # wins over the error the indefinite covariance would raise.
-        with pytest.raises(DomainError, match="threads"):
-            mc.md_perturbation_experiment(
-                self.MODEL.mu, -self.MODEL.cov, "mu1", [1.0], 10,
-                mc.SeededStream(seed=1), threads=0,
-            )
+        points = mc.md_perturbation_experiment(*args)
+        # Frozen before the thread pool was removed.
+        assert [(p.factor, float.hex(p.mrl), [float.hex(v) for v in p.md.coords])
+                for p in points] == [
+            (0.5, "0x1.06f09ab2b2a8fp-2", ["0x1.8c3c2e1001769p-1",
+                                           "-0x1.3987ff51c40cbp-1",
+                                           "-0x1.4ad0baf8f5a78p-3"]),
+            (2.0, "0x1.11058d92a93cbp-3", ["0x1.80eff25dc4725p-1",
+                                           "-0x1.4dad015de95b0p-1",
+                                           "-0x1.9a1787fed8ba2p-4"]),
+        ]
 
 
 def _load_spans():
@@ -715,7 +761,7 @@ class TestTraceHooks:
         model = moments.GaussianModel(mu=np.arange(3.0), cov=np.eye(3))
         count = 2 * mc.SHARD_ROWS + 10
         with spans.traced(tracer, sites):
-            mc.estimate_chi_mrl(model, count, mc.SeededStream(seed=4), threads=2)
+            mc.estimate_chi_mrl(model, count, mc.SeededStream(seed=4))
         assert spans.unwrapped_problems(sites) == []
         names = [s.name for s in tracer.spans]
         assert names.count("sphere.standardize_rows") == 3
@@ -732,8 +778,7 @@ class TestTraceHooks:
         model = moments.GaussianModel(mu=np.arange(3.0), cov=np.eye(3))
         count = 2 * mc.SHARD_ROWS + 10
         with spans.traced(tracer, sites):
-            mc.ic_distribution(model, "sample_md", count, mc.SeededStream(seed=4),
-                               threads=2)
+            mc.ic_distribution(model, "sample_md", count, mc.SeededStream(seed=4))
         assert spans.unwrapped_problems(sites) == []
         names = [s.name for s in tracer.spans]
         assert names.count("sphere.standardize_rows") == 3
