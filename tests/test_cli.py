@@ -481,6 +481,33 @@ class TestRerun:
         for name in ("mrl_check.json", "manifest.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    @pytest.mark.parametrize("argv,artifacts", [
+        (["simulate", "mrl-check"], {
+            "mrl_check.json":
+            "6bc5901d914abea57787d394b99c0101c83f3b14b23580f814a20e9ce26ed470"}),
+        (["simulate", "md-perturb", "--axis", "mu1", "--factors", "0.5,2"], {
+            "md_perturb.csv":
+            "a9226cb042f89592ef91476925cea264653320c71fc198ddb47c74f19b2d501a"}),
+        (["simulate", "md-perturb", "--axis", "sigma1", "--factors", "0.5,2"], {
+            "md_perturb.csv":
+            "acd297b63072d4f145bf1ed5485ad37283e226d886c885a2b19578f955c372e2"}),
+    ], ids=["mrl-check", "md-perturb-mu1", "md-perturb-sigma1"])
+    def test_streamed_resultant_hashes_frozen(self, argv, artifacts, tmp_path,
+                                              capsys):
+        # Frozen when shards were summed whole: a manifest saved then
+        # reruns to the same bytes. 70,001 rows end in a partial shard.
+        first = tmp_path / "first"
+        code, _, _ = run([*argv, "--count", "70001", "--seed", "5",
+                          "--output-dir", str(first)], capsys)
+        assert code == 0
+        assert read_json(first / "manifest.json")["artifacts"] == artifacts
+        second = tmp_path / "second"
+        code, _, _ = run(["rerun", "--manifest", str(first / "manifest.json"),
+                          "--output-dir", str(second)], capsys)
+        assert code == 0
+        assert (first / "manifest.json").read_bytes() == (
+            second / "manifest.json").read_bytes()
+
     def test_rerun_empirical(self, five_year_panel_csv, tmp_path, capsys):
         first = tmp_path / "e1"
         code, _, _ = run(

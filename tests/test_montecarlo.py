@@ -11,6 +11,7 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -157,6 +158,19 @@ class TestNormalSource:
             tracemalloc.stop()
         assert peak <= z.nbytes + (4 << 20)
 
+    def test_streamed_resultant_memory(self):
+        # Each shard streams in row blocks: no shard-sized normals, draws
+        # or directions (5.2 MB each at n = 10) are ever held.
+        mu, cov = fixtures.model_params(fixtures.load_params(), "ten_base")
+        model = moments.GaussianModel(mu, cov)
+        tracemalloc.start()
+        try:
+            mc.estimate_chi_mrl(model, 1 << 20, mc.SeededStream(seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
+
     def test_moments_sane(self):
         z = mc._NormalSource(mc.SeededStream(seed=12345)).take(200000)
         n = z.size
@@ -193,6 +207,13 @@ class TestShards:
             (1, mc.SHARD_ROWS, mc.SHARD_ROWS),
             (2, 2 * mc.SHARD_ROWS, 5),
         ]
+
+    def test_block_rows_power_of_two_dividing_shard(self):
+        # Beyond n = 2^17 every block is one row.
+        for n in range(2, 1 << 18):
+            step = mc._block_rows(n)
+            assert step & (step - 1) == 0 and mc.SHARD_ROWS % step == 0, n
+            assert step == 1 or step * n <= mc._SHARD_BLOCK_VALUES < 2 * step * n, n
 
 
 class TestSampleMVN:
@@ -738,6 +759,128 @@ class TestThreadIndependence:
                                            "-0x1.9a1787fed8ba2p-4"]),
         ]
 
+    def test_md_perturbation_experiment_mu1(self):
+        stream = mc.SeededStream(seed=64)
+        args = (self.MODEL.mu, self.MODEL.cov, "mu1", [0.25, 3.0],
+                self.COUNT, stream)
+        points = mc.md_perturbation_experiment(*args)
+        # Frozen before each shard streamed in row blocks.
+        assert [(p.factor, float.hex(p.mrl), [float.hex(v) for v in p.md.coords])
+                for p in points] == [
+            (0.25, "0x1.6ce5982b538ffp-4", ["0x1.42ad5ed056424p-1",
+                                            "-0x1.87840e05fa500p-1",
+                                            "0x1.135abcd69036dp-3"]),
+            (3.0, "0x1.ee31a8f7b92b4p-2", ["0x1.98f588fefb594p-1",
+                                           "-0x1.178e171ef4bb6p-1",
+                                           "-0x1.02cee3c00d3bcp-2"]),
+        ]
+
+
+def seeded_model(n: int) -> moments.GaussianModel:
+    """A model with correlated components of unequal scale."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    return moments.GaussianModel(0.1 * rng.standard_normal(n),
+                                 a @ a.T / n + np.eye(n))
+
+
+def digest(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+class TestStreamedResultant:
+    """_resultant streams each shard in row blocks. Every value here was
+    frozen when shards were summed whole, at counts that end in a partial
+    shard whose last block takes the remainder."""
+
+    @pytest.mark.parametrize("n,count,mrl,total", [
+        # Blocks are whole shards.
+        (2, 2 * mc.SHARD_ROWS + 777, "0x1.beba0ea4c6e49p-6",
+         "53dc9cd576fadd8caf8622a61abf350cad81b75ef5306992bb32192c2d032ecd"),
+        # A 16,385-row shard: blocks of 8,192 and 8,193 rows, not a 1-row one.
+        (10, mc.SHARD_ROWS + 2 * 8192 + 1, "0x1.e250b44ed0608p-5",
+         "3e204222d91b4df0f3a6f15294e1f535f1eaf44161b9ec7a9aaa4a56249d09c2"),
+        # 128 blocks of 512 rows, then blocks of 512, 512 and 513 rows.
+        (200, mc.SHARD_ROWS + 3 * 512 + 1, "0x1.140ca009bcd96p-4",
+         "33163e5522ef6f70598b2e993fd5f2ded35d346c22154a49ffa000b7c2b58a5f"),
+    ], ids=["n2", "n10", "n200"])
+    def test_frozen_bits(self, n, count, mrl, total):
+        model = seeded_model(n)
+        stream = mc.SeededStream(seed=n)
+        vec, kept = mc._resultant(model, count, stream)
+        assert kept == count
+        assert digest(vec) == total
+        assert float.hex(mc.estimate_chi_mrl(model, count, stream)) == mrl
+
+    @pytest.mark.parametrize("n,count", [
+        (10, mc.SHARD_ROWS + 2 * 8192 + 1),
+        (200, 3 * 512 + 1),
+    ], ids=["n10", "n200"])
+    def test_blocks_give_whole_shard_directions(self, monkeypatch, n, count):
+        # A 1-row tail block would take BLAS's gemv path and change the
+        # last row's bits, which a long sum can round away.
+        model = seeded_model(n)
+        stream = mc.SeededStream(seed=n)
+        whole = np.vstack(mc._map_shards(lambda g: mc._directions(model, g),
+                                         n, count, stream))
+        directions = mc._directions
+        blocks = []
+
+        def recorded(model, g):
+            blocks.append(directions(model, g))
+            return blocks[-1].copy()  # _resultant adds into its first row
+
+        monkeypatch.setattr(mc, "_directions", recorded)
+        mc._resultant(model, count, stream)
+        assert len(blocks) > count // mc.SHARD_ROWS + 1
+        assert np.array_equal(np.vstack(blocks), whole)
+
+    def test_frozen_bits_blocks_of_16_rows(self):
+        # 53 rows are blocks of 16, 16 and 21 rows at n = 4104. The kernel
+        # reads only n, mu and chol; a stand-in carries them, where
+        # GaussianModel would hold several 135 MB copies of cov. At n >= 193
+        # not a multiple of 8, OpenBLAS can change a row's last n mod 8
+        # coordinates with the product's row count (README), so blocks
+        # keep the whole shard's bits only at a multiple of 8.
+        n = 4104
+        assert mc._block_rows(n) == 16
+        rng = np.random.default_rng(n)
+        model = types.SimpleNamespace(n=n, mu=0.1 * rng.standard_normal(n),
+                                      chol=rng.standard_normal((n, n)))
+        stream = mc.SeededStream(seed=n)
+        vec, kept = mc._resultant(model, 53, stream)
+        assert kept == 53
+        assert digest(vec) == (
+            "32c402d55717ddd4cd5dd06f0ee235ecf8dc9ec7bfb81ab620d11dbcbc28d4f8")
+        assert float.hex(mc.estimate_chi_mrl(model, 53, stream)) == (
+            "0x1.1646bbe6925acp-3")
+
+    @pytest.mark.parametrize("row,total", [
+        (8192 + 100,
+         "546265ef4426ae5c011e50c3c7252ee914e869a6d6517f9c6f380d849e81a1a9"),
+        (8192,
+         "f5a0a062f094896cee615fb6774cf21fca803c99171eb26a11d9c533668cd3d8"),
+    ], ids=["mid_block", "block_start"])
+    def test_degenerate_row_dropped(self, monkeypatch, row, total):
+        # A constant draw in the second 8,192-row block of shard 0; at the
+        # block's start, the carried sum goes into the next kept row.
+        draws = mc._draws
+        seen = [0]
+
+        def draws_with_constant_row(model, g):
+            y = draws(model, g)
+            lo = seen[0]
+            seen[0] += g.shape[0]
+            if lo <= row < seen[0]:
+                y[row - lo] = 1.0
+            return y
+
+        monkeypatch.setattr(mc, "_draws", draws_with_constant_row)
+        vec, kept = mc._resultant(seeded_model(10), mc.SHARD_ROWS + 5,
+                                  mc.SeededStream(seed=5))
+        assert kept == mc.SHARD_ROWS + 4
+        assert digest(vec) == total
+
 
 def _load_spans():
     """The benchmark's span module, loaded from perfbench/ unchanged."""
@@ -764,7 +907,10 @@ class TestTraceHooks:
             mc.estimate_chi_mrl(model, count, mc.SeededStream(seed=4))
         assert spans.unwrapped_problems(sites) == []
         names = [s.name for s in tracer.spans]
-        assert names.count("sphere.standardize_rows") == 3
+        # One span per row block: two of 32,768 rows in each full shard at
+        # n = 3, and one for the 10-row shard.
+        assert mc._block_rows(3) == mc.SHARD_ROWS // 2
+        assert names.count("sphere.standardize_rows") == 5
         assert names.count("montecarlo.sampler") == 1
         metrics = spans.layer_metrics(tracer)
         assert metrics["sphere.rows_in"] == count
