@@ -80,7 +80,9 @@ _BLOCK_ATTEMPTS = 16384
 # Values per row block of a streamed shard (see _block_rows): 8,192
 # rows at n = 10. At 2^20 draws on 2 vCPUs, estimate_chi_mrl took
 # 0.32-0.34 s (medians of 15) in blocks of 4,096, 8,192 or 16,384 rows,
-# within noise of each other, and 0.40 s in whole shards.
+# within noise of each other, and 0.40 s in whole shards. It is not
+# sphere's 2^15: its 128-row blocks changed the draws' bits at n = 129
+# to 191 on two BLAS threads.
 _SHARD_BLOCK_VALUES = 1 << 17
 
 
@@ -207,12 +209,21 @@ def _shards(count: int) -> list[tuple[int, int, int]]:
 
 def _block_rows(n: int) -> int:
     """Rows per block of a streamed shard: the largest power of two with
-    at most _SHARD_BLOCK_VALUES values, and at least one row.
+    at most _SHARD_BLOCK_VALUES values, or SHARD_ROWS (whole shards)
+    where blocks would not keep the draws' bits.
 
     A power of two divides SHARD_ROWS, so a full shard splits into equal
-    blocks and only a partial shard's last block takes a remainder.
+    blocks and only a partial shard's last block takes a remainder. The
+    draws' BLAS product over these blocks gave every row the bits of the
+    whole-shard product at every n up to 192 and at the multiples of 8
+    checked up to 8192 (OpenBLAS 0.3.31). At other n from 193 on, a
+    row's last n mod 8 coordinates changed with the product's row count,
+    and beyond 8192 a block would hold under 16 rows, where small
+    products changed bits too; those n keep whole shards.
     """
-    return 1 << (max(_SHARD_BLOCK_VALUES // n, 1).bit_length() - 1)
+    if n > 8192 or (n > 192 and n % 8):
+        return SHARD_ROWS
+    return 1 << ((_SHARD_BLOCK_VALUES // n).bit_length() - 1)
 
 
 def _map_shards(fn, n: int, count: int, stream: SeededStream,
@@ -374,11 +385,12 @@ def estimate_chi_mrl(model: GaussianModel, count: int, stream: SeededStream) -> 
 
     Each shard is drawn, transformed, standardized and summed in row
     blocks of about 2^17 values (_map_shards), so memory is O(block)
-    whatever the count: no draw matrix, not even one shard's, is held.
+    whatever the count: no draw matrix is held, nor one shard's at
+    n <= 192 or at a multiple of 8 up to 8192. At other n, where blocks
+    changed the draws' bits, _block_rows keeps whole shards, O(shard).
     The sum adds the kept directions in row order within each shard and
     the shard sums in shard order, which gives the bits of whole-shard
-    sums wherever the BLAS gives each block's draws the whole shard's
-    bits (README, determinism contract).
+    sums (README, determinism contract).
     """
     count = _validate_int(count, "count")
     total, kept = _resultant(model, count, stream)

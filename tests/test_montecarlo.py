@@ -209,11 +209,17 @@ class TestShards:
         ]
 
     def test_block_rows_power_of_two_dividing_shard(self):
-        # Beyond n = 2^17 every block is one row.
-        for n in range(2, 1 << 18):
+        # Every n that can stream, then n around 2^17 / 2^k beyond it.
+        edges = [(mc._SHARD_BLOCK_VALUES >> k) + d for k in range(4)
+                 for d in (-1, 0, 1)]
+        for n in [*range(2, 8202), *edges, 1 << 20]:
             step = mc._block_rows(n)
             assert step & (step - 1) == 0 and mc.SHARD_ROWS % step == 0, n
-            assert step == 1 or step * n <= mc._SHARD_BLOCK_VALUES < 2 * step * n, n
+            assert (step == mc.SHARD_ROWS
+                    or step * n <= mc._SHARD_BLOCK_VALUES < 2 * step * n), n
+        # Whole shards where blocks changed the draws' bits.
+        assert [mc._block_rows(n) for n in (10, 192, 193, 200, 257, 8192, 8200)] == [
+            8192, 512, mc.SHARD_ROWS, 512, mc.SHARD_ROWS, 16, mc.SHARD_ROWS]
 
 
 class TestSampleMVN:
@@ -803,7 +809,14 @@ class TestStreamedResultant:
         # 128 blocks of 512 rows, then blocks of 512, 512 and 513 rows.
         (200, mc.SHARD_ROWS + 3 * 512 + 1, "0x1.140ca009bcd96p-4",
          "33163e5522ef6f70598b2e993fd5f2ded35d346c22154a49ffa000b7c2b58a5f"),
-    ], ids=["n2", "n10", "n200"])
+        # Whole shards: blocks of 256 and 261 rows, or 256, 256, 256 and
+        # 259, changed a row's last n mod 8 coordinates, and at n = 300
+        # the MRL's last bit.
+        (257, 2 * 256 + 5, "0x1.57f376eb58b64p-4",
+         "59fe129280d587000f5f66120245b4dd06bb17d1702c2428ec0ca7bb20b3cdea"),
+        (300, 4 * 256 + 3, "0x1.3c5d02fbf0303p-4",
+         "ce631d352cbd7bd3e7c81a7a03526fedc4b1fad7cc2989f29c1b20fcfbbbf7aa"),
+    ], ids=["n2", "n10", "n200", "n257", "n300"])
     def test_frozen_bits(self, n, count, mrl, total):
         model = seeded_model(n)
         stream = mc.SeededStream(seed=n)
@@ -836,12 +849,11 @@ class TestStreamedResultant:
         assert np.array_equal(np.vstack(blocks), whole)
 
     def test_frozen_bits_blocks_of_16_rows(self):
-        # 53 rows are blocks of 16, 16 and 21 rows at n = 4104. The kernel
-        # reads only n, mu and chol; a stand-in carries them, where
-        # GaussianModel would hold several 135 MB copies of cov. At n >= 193
-        # not a multiple of 8, OpenBLAS can change a row's last n mod 8
-        # coordinates with the product's row count (README), so blocks
-        # keep the whole shard's bits only at a multiple of 8.
+        # 53 rows are blocks of 16, 16 and 21 rows at n = 4104, the
+        # smallest n with 16-row blocks that stream (a multiple of 8 above
+        # 4096). Its chol takes 135 MB. The kernel reads only n, mu and
+        # chol; a stand-in carries them, where GaussianModel would hold
+        # several copies of cov.
         n = 4104
         assert mc._block_rows(n) == 16
         rng = np.random.default_rng(n)
