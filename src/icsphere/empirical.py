@@ -11,6 +11,7 @@ import csv
 import datetime
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,20 +103,16 @@ def _parse_cell(raw: str, where: str) -> float:
         raise MalformedInputError(f"unparseable number {raw!r} at {where}") from None
 
 
-def load_panel(path, missing_policy: str = "cross_mean") -> ReturnPanel:
-    """Read a date-indexed CSV return panel and clean it.
+def _read_panel(path) -> tuple[list, list, np.ndarray]:
+    """Tickers, dates and the (T, N) cells of a panel file, NaN for holes.
 
-    Columns with more than 10% missing cells are dropped first. The
-    remaining holes are handled by policy: "cross_mean" fills a hole
-    with the mean of the other assets that day (its standardized value
-    is then exactly zero), "drop_row" discards the day.
+    Cells go straight into one flat float64 buffer, which the returned
+    array views: no per-cell Python float outlives its row. Undecodable
+    bytes are kept as lone surrogates, so they fail the number or date
+    parse of the cell that holds them, and that error names its row.
     """
-    if missing_policy not in ("cross_mean", "drop_row"):
-        raise DomainError(
-            f"missing_policy must be cross_mean or drop_row, got {missing_policy!r}"
-        )
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise MalformedInputError(f"cannot read panel: {exc}") from None
     with fh:
@@ -128,9 +125,13 @@ def load_panel(path, missing_policy: str = "cross_mean") -> ReturnPanel:
             raise MalformedInputError(
                 "header must be 'date' followed by at least two asset columns"
             )
+        try:
+            "".join(header).encode()
+        except UnicodeEncodeError:
+            raise MalformedInputError("header is not UTF-8 text") from None
         tickers = [h.strip() for h in header[1:]]
         dates = []
-        rows = []
+        cells = array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -143,16 +144,34 @@ def load_panel(path, missing_policy: str = "cross_mean") -> ReturnPanel:
                     f"bad date {row[0]!r} at row {lineno}"
                 ) from None
             try:
-                rows.append([float(c or "nan") for c in row[1:]])
+                cells.extend([float(c or "nan") for c in row[1:]])
             except ValueError:
                 # Blank cells and bad numbers: parse cell by cell.
-                rows.append([
+                cells.extend([
                     _parse_cell(cell, f"row {lineno}, column {tickers[j]}")
                     for j, cell in enumerate(row[1:])
                 ])
-    if len(rows) < 2:
+    return tickers, dates, np.frombuffer(cells).reshape(len(dates), len(tickers))
+
+
+def load_panel(path, missing_policy: str = "cross_mean") -> ReturnPanel:
+    """Read a date-indexed CSV return panel and clean it.
+
+    Columns with more than 10% missing cells are dropped first. The
+    remaining holes are handled by policy: "cross_mean" fills a hole
+    with the mean of the other assets that day (its standardized value
+    is then exactly zero), "drop_row" discards the day.
+
+    The file is UTF-8, with or without a byte order mark. Cleaning holds
+    at most two panel-sized arrays at once.
+    """
+    if missing_policy not in ("cross_mean", "drop_row"):
+        raise DomainError(
+            f"missing_policy must be cross_mean or drop_row, got {missing_policy!r}"
+        )
+    tickers, dates, arr = _read_panel(path)
+    if len(dates) < 2:
         raise DimensionError("panel needs at least 2 data rows")
-    arr = np.asarray(rows, dtype=np.float64)
     if any(b <= a for a, b in zip(dates, dates[1:])):
         raise MalformedInputError("dates must be strictly increasing")
 
@@ -162,6 +181,8 @@ def load_panel(path, missing_policy: str = "cross_mean") -> ReturnPanel:
     dropped_columns = tuple(t for t, k in zip(tickers, col_keep) if not k)
     if int(col_keep.sum()) < 2:
         raise DimensionError("fewer than 2 columns survive the missing-data limit")
+    # A fresh column-major copy, even when every column is kept; the
+    # cell buffer is freed here. The hole fill sums rows in this layout.
     arr = arr[:, col_keep]
     missing = missing[:, col_keep]
     tickers = [t for t, k in zip(tickers, col_keep) if k]
@@ -173,13 +194,13 @@ def load_panel(path, missing_policy: str = "cross_mean") -> ReturnPanel:
         row_keep = ~missing.all(axis=1)
         holes = missing & row_keep[:, None]
         if holes.any():
-            present = ~missing
-            row_sum = np.where(present, arr, 0.0).sum(axis=1)
-            row_cnt = present.sum(axis=1)
-            fill = row_sum / np.maximum(row_cnt, 1)
-            arr = np.where(holes, fill[:, None], arr)
+            arr[missing] = 0.0
+            fill = arr.sum(axis=1) / np.maximum((~missing).sum(axis=1), 1)
+            np.copyto(arr, fill[:, None], where=holes)
             filled_cells = int(holes.sum())
     dropped_rows = int((~row_keep).sum())
+    # Row selection makes the row-major copy that every later row
+    # reduction (standardize_rows) expects, even when every row is kept.
     arr = arr[row_keep]
     missing = missing[row_keep]
     dates = [d for d, k in zip(dates, row_keep) if k]
@@ -231,8 +252,11 @@ class StandardizedPanel:
         kept = self.kept & rows
         if not kept.any():
             raise DomainError("restriction keeps no rows")
+        held = rows[self.kept]
+        # A mask over every held row shares the (immutable) sample.
+        sample = self.sample if held.all() else DirectionalSample(self.sample.matrix[held])
         return StandardizedPanel(
-            sample=DirectionalSample(self.sample.matrix[rows[self.kept]]),
+            sample=sample,
             source=self.source,
             dropped_degenerate=0,
             kept=kept,
@@ -407,19 +431,29 @@ def rolling_mrl_cssd(spanel: StandardizedPanel, window: int = 20) -> list[tuple]
     t, n = panel.returns.shape
     if window > t:
         raise DomainError(f"window {window} exceeds the panel length {t}")
-    x = np.zeros((t + 1, n))
-    x[1:][spanel.kept] = spanel.sample.matrix
-    z = np.zeros((t + 1, n))
-    z[1:] = panel.returns
-    bad = np.concatenate([[0], np.cumsum(~spanel.kept)])
-    np.cumsum(x, axis=0, out=x)
-    np.cumsum(z, axis=0, out=z)
-
     inv_w = 1.0 / window
-    zbar = (z[window:] - z[:-window]) * inv_w
-    zbar -= zbar.mean(axis=1, keepdims=True)
-    cssd = np.linalg.norm(zbar, axis=1) / math.sqrt(n)
-    mrl = np.linalg.norm((x[window:] - x[:-window]) * inv_w, axis=1)
+    # One prefix buffer serves the returns and then the directions, and
+    # one buffer holds the window means. Squaring in place and summing
+    # each row is what np.linalg.norm(axis=1) does for real rows.
+    prefix = np.zeros((t + 1, n))
+    means = np.empty((t + 1 - window, n))
+
+    prefix[1:] = panel.returns
+    np.cumsum(prefix, axis=0, out=prefix)
+    np.subtract(prefix[window:], prefix[:-window], out=means)
+    means *= inv_w
+    means -= means.mean(axis=1, keepdims=True)
+    means *= means
+    cssd = np.sqrt(means.sum(axis=1)) / math.sqrt(n)
+
+    prefix[:] = 0.0
+    prefix[1:][spanel.kept] = spanel.sample.matrix
+    np.cumsum(prefix, axis=0, out=prefix)
+    np.subtract(prefix[window:], prefix[:-window], out=means)
+    means *= inv_w
+    means *= means
+    mrl = np.sqrt(means.sum(axis=1))
+    bad = np.concatenate([[0], np.cumsum(~spanel.kept)])
     mrl[bad[window:] > bad[:-window]] = math.nan
     return list(zip(panel.dates[window - 1:], mrl.tolist(), cssd.tolist()))
 

@@ -1,21 +1,27 @@
 """Committed benchmark records must be result lines of perfbench/run.py.
 
-Every ``BENCH_*.json`` at the repository root holds one result line, a
-list of them, or an object whose values are result lines (for example
-``{"parent": ..., "change": ...}``). Each line must report a correct
-run and carry the end-to-end metrics BENCHMARK.json declares, with
-their units. With no such file the test passes trivially.
+Every ``BENCH_*.json`` at the repository root is named
+``BENCH_<int>_<workload>.json``, with a workload BENCHMARK.json
+declares, and holds one result line, a list of them, or an object whose
+values are result lines (for example ``{"parent": ..., "change": ...}``).
+Each line must report a correct run and carry the end-to-end metrics
+BENCHMARK.json declares, with their units. With no such file the test
+passes trivially.
 """
 
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _declared() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def _end_to_end_units() -> dict:
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["unit"] for m in declared["end_to_end"]}
+    return {m["name"]: m["unit"] for m in _declared()["end_to_end"]}
 
 
 def _result_lines(record):
@@ -39,3 +45,11 @@ def test_records_hold_correct_result_lines():
             for name, unit in units.items():
                 assert metrics[name]["unit"] == unit, (path.name, name)
                 assert isinstance(metrics[name]["value"], (int, float)), (path.name, name)
+
+
+def test_record_names_follow_pattern():
+    workloads = {w["name"] for w in _declared()["workloads"]}
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        match = re.fullmatch(r"BENCH_([0-9]+)_(.+)\.json", path.name)
+        assert match, f"{path.name} is not named BENCH_<int>_<workload>.json"
+        assert match.group(2) in workloads, f"{path.name}: unknown workload"

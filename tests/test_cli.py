@@ -433,6 +433,46 @@ class TestEmpirical:
         assert code == 2
         assert "cannot read panel" in err
 
+    @pytest.mark.parametrize("filled,policy,manifest_sha256", [
+        (False, "cross_mean",
+         "5ccdeb34c8deaee0df823a0629a7fc39dde64a0dab4e892232700602f874bfd7"),
+        (True, "cross_mean",
+         "7eb0dab43e34b255236611f22e4ff424f95b424a128f6b4597ef8ef96938c153"),
+        (False, "drop_row",
+         "c320d1297eceef72ea291baa70e9fcf1842f8bffac9832a1c1a704f731a8705e"),
+    ], ids=["holes", "filled", "drop-row"])
+    def test_artifact_hashes_frozen(self, filled, policy, manifest_sha256,
+                                    tmp_path, monkeypatch, capsys):
+        # 600 weekdays x 12 assets: isolated holes, a column missing 20%
+        # of its cells (dropped) and three constant rows. Filled, only
+        # the sparse column has holes, so every row survives cleaning
+        # unchanged. The manifest holds every artifact's sha256, and
+        # --input is relative, so the manifest's own hash pins them all.
+        t, n = 600, 12
+        matrix = one_factor_returns(t, n, seed=606)
+        rng = np.random.default_rng(607)
+        matrix[rng.choice(t, 3, replace=False)] = 0.001 * np.arange(1, 4)[:, None]
+        holes = {(int(i), 0) for i in np.flatnonzero(rng.random(t) < 0.2)}
+        if not filled:
+            holes |= {(int(i), int(j))
+                      for i, j in zip(*np.nonzero(rng.random((t, n)) < 0.01))}
+        monkeypatch.chdir(tmp_path)
+        write_panel_csv("panel.csv", business_days(datetime.date(2019, 1, 2), t),
+                        [f"S{j}" for j in range(n)], matrix, holes)
+        code, _, _ = run(
+            ["empirical", "--input", "panel.csv", "--windows", "yearly",
+             "--rolling", "20", "--missing-policy", policy,
+             "--output-dir", "out"],
+            capsys,
+        )
+        assert code == 0
+        out = tmp_path / "out"
+        manifest = read_json(out / "manifest.json")
+        for name, digest in manifest["artifacts"].items():
+            assert cli._sha256_file(out / name) == digest, name
+        assert len(manifest["artifacts"]) == 15
+        assert cli._sha256_file(out / "manifest.json") == manifest_sha256
+
 
 class TestOracle:
     def test_specfun_suite(self, capsys):

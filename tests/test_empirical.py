@@ -3,6 +3,7 @@
 import datetime
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,42 @@ class TestLoadPanel:
         with pytest.raises(DimensionError):
             empirical.load_panel(str(path))
 
+    def test_undecodable_byte(self, tmp_path, capsys):
+        cases = {
+            "cell.csv": (b"date,A,B\n2020-01-02,0.1,0.2\n2020-01-03,0.2,0.\xff1\n",
+                         "at row 3, column B"),
+            "date.csv": (b"date,A,B\n2020-01-02,0.1,0.2\n2020-01-\xff3,0.2,0.1\n",
+                         "at row 3"),
+            "header.csv": (b"date,A,\xffB\n2020-01-02,0.1,0.2\n2020-01-03,0.2,0.1\n",
+                           "header is not UTF-8 text"),
+        }
+        for name, (data, message) in cases.items():
+            path = tmp_path / name
+            path.write_bytes(data)
+            with pytest.raises(MalformedInputError, match=re.escape(message)):
+                empirical.load_panel(str(path))
+        code = cli.main(["empirical", "--input", str(tmp_path / "cell.csv"),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "at row 3, column B" in capsys.readouterr().err
+
+    def test_bom_and_crlf(self, tmp_path):
+        # A spreadsheet export: UTF-8 byte order mark, CRLF line ends.
+        dates = business_days(D(2020, 1, 2), 40)
+        matrix = one_factor_returns(40, 5, seed=12)
+        excel = tmp_path / "excel.csv"
+        write_panel_csv(excel, dates, list("ABCDE"), matrix, holes={(3, 1)})
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(excel.read_bytes().replace(b"\r\n", b"\n"))
+        excel.write_bytes(b"\xef\xbb\xbf" + excel.read_bytes())
+        assert b"\r" not in plain.read_bytes()
+        assert excel.read_bytes().startswith(b"\xef\xbb\xbfdate,A,B,C,D,E\r\n")
+        want, got = empirical.load_panel(plain), empirical.load_panel(excel)
+        assert got.tickers == want.tickers == tuple("ABCDE")
+        assert got.dates == want.dates
+        assert got.returns.tobytes() == want.returns.tobytes()
+        np.testing.assert_array_equal(got.missing_mask, want.missing_mask)
+
 
 class TestReturnPanelInvariants:
     def test_rejects_nan_after_cleaning(self):
@@ -282,6 +319,12 @@ class TestStandardizePanel:
         np.testing.assert_array_equal(sub.sample.matrix, spanel.sample.matrix[1:])
         with pytest.raises(DomainError):
             spanel.restrict(np.array([False, True, False, False]))
+        # A mask that leaves out only the dropped row holds every row:
+        # the sample is shared, not copied.
+        whole = spanel.restrict(np.array([True, False, True, True]))
+        assert whole.sample is spanel.sample
+        assert whole.kept.tolist() == [True, False, True, True]
+        assert whole.dropped_degenerate == 0
 
 
 class TestWindowReport:
@@ -469,6 +512,52 @@ class TestRollingMrlCssd:
         ok = ~np.isnan(mrl)
         corr = np.corrcoef(mrl[ok], cssd[ok])[0, 1]
         assert corr > 0.2
+
+
+@pytest.fixture(scope="module")
+def wide_panel_csv(tmp_path_factory) -> str:
+    """5,000 weekdays x 50 assets: 0.5% holes, a column missing 20% of
+    its cells and three constant rows."""
+    t, n = 5000, 50
+    matrix = one_factor_returns(t, n, seed=5050)
+    rng = np.random.default_rng(5051)
+    matrix[rng.choice(t, 3, replace=False)] = 0.001 * np.arange(1, 4)[:, None]
+    holes = {(int(i), 0) for i in np.flatnonzero(rng.random(t) < 0.2)}
+    holes |= {(int(i), int(j))
+              for i, j in zip(*np.nonzero(rng.random((t, n)) < 0.005))}
+    path = tmp_path_factory.mktemp("panels") / "wide.csv"
+    write_panel_csv(path, business_days(D(2000, 1, 3), t),
+                    [f"W{j}" for j in range(n)], matrix, holes)
+    return str(path)
+
+
+def traced_peak(fn):
+    """fn's result and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestPanelMemory:
+    # Cells are parsed into one flat float64 buffer and the cleaning
+    # chain holds at most two panel-sized arrays at once; the rolling
+    # statistics need one prefix buffer and one window-difference buffer.
+    def test_load_panel_peak(self, wide_panel_csv):
+        panel, peak = traced_peak(lambda: empirical.load_panel(wide_panel_csv))
+        assert panel.returns.shape == (5000, 49)
+        assert peak <= 3 * panel.returns.nbytes + (1 << 20)
+
+    def test_rolling_peak(self, wide_panel_csv):
+        spanel = empirical.standardize_panel(empirical.load_panel(wide_panel_csv))
+        t, n = spanel.source.returns.shape
+        series, peak = traced_peak(lambda: empirical.rolling_mrl_cssd(spanel, 20))
+        assert len(series) == t - 19
+        assert peak <= 2 * (t + 1) * n * 8 + (1 << 20)
 
 
 class TestWindows:
