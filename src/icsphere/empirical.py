@@ -11,7 +11,6 @@ import csv
 import datetime
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,6 +110,9 @@ def _read_panel(path) -> tuple[list, list, np.ndarray]:
     bytes are kept as lone surrogates, so they fail the number or date
     parse of the cell that holds them, and that error names its row.
     """
+    # Imported on first use, so that importing the CLI loads no extra module.
+    from array import array
+
     try:
         fh = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
