@@ -59,31 +59,29 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--count", type=int, default=1_000_000,
                         help="draws per Monte Carlo experiment")
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args()
 
     root = Path(args.output_dir)
     root.mkdir(parents=True, exist_ok=True)
     seed = str(args.seed)
     count = str(args.count)
-    threads = str(args.threads)
 
     # distribution of the projection T under both benchmark variants
     for variant in ("base", "hetero"):
         for mode in ("chi_mu", "sample_md"):
             run(["simulate", "ic-pdf", "--mode", mode, "--variant", variant,
-                 "--count", count, "--seed", seed, "--threads", threads,
+                 "--count", count, "--seed", seed,
                  "--output-dir", str(root / f"ic_pdf_{variant}_{mode}")])
 
     # mean-direction response to scaling one mean or one volatility
     for axis in ("mu1", "sigma1"):
         run(["simulate", "md-perturb", "--axis", axis,
-             "--count", count, "--seed", seed, "--threads", threads,
+             "--count", count, "--seed", seed,
              "--output-dir", str(root / f"md_perturb_{axis}")])
 
     # closed form against simulation on the benchmark parameters
     run(["simulate", "mrl-check", "--count", count, "--seed", seed,
-         "--threads", threads, "--output-dir", str(root / "mrl_check")])
+         "--output-dir", str(root / "mrl_check")])
 
     # empirical pipeline on a synthetic panel
     panel = root / "synthetic_panel.csv"
@@ -93,7 +91,7 @@ def main() -> int:
 
     # independent numerical cross-checks
     run(["oracle", "--suite", "all", "--count", count, "--seed", seed,
-         "--threads", threads, "--output-dir", str(root / "oracle")])
+         "--output-dir", str(root / "oracle")])
 
     print(f"all experiments written under {root}/")
     return 0

@@ -55,7 +55,7 @@ from .optimize import (
     min_variance,
     symmetric_eigen,
 )
-from .specfun import f_var, g_var, kummer_m, log_gamma, varrho
+from .specfun import f_var, g_var, kummer_m, varrho
 from .sphere import (
     Representation,
     UnitDirection,
@@ -75,7 +75,7 @@ __all__ = [
     "DomainError", "InvalidCovarianceError", "MalformedInputError",
     "ModelError", "NoUniqueSolutionError", "UndefinedMeanDirectionError",
     # special functions
-    "log_gamma", "kummer_m", "varrho", "f_var", "g_var",
+    "kummer_m", "varrho", "f_var", "g_var",
     # sphere
     "UnitDirection", "Representation", "center", "centering_matrix",
     "standardize", "standardize_rows", "helmert_v", "build_representation",

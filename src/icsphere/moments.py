@@ -212,10 +212,12 @@ def _f_g(n: int, x: float) -> tuple[float, float]:
 
     f_var and g_var at dimension n - 1. At n = 2 the hyperplane is a
     line: chi(Z) is +-chi(mu), so f = 1 - varrho(1, x)^2 and g = 0.
+    varrho(1, x) = 1 - e with e = erfc(x/sqrt 2), so f = e (2 - e)
+    without cancellation.
     """
     if n == 2:
-        mrl = varrho(1, x)
-        return 1.0 - mrl * mrl, 0.0
+        e = math.erfc(x * _SQRT_HALF)
+        return e * (2.0 - e), 0.0
     return f_var(n - 1, x), g_var(n - 1, x)
 
 

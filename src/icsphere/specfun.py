@@ -14,48 +14,18 @@ import operator
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["log_gamma", "kummer_m", "varrho", "f_var", "g_var"]
+__all__ = ["kummer_m", "varrho", "f_var", "g_var"]
 
 # A series stops once a term is below REL_TOL of its running sum. The
 # reflected series may use _MAX_TERMS terms past |z|, where its terms peak.
 REL_TOL = 1e-14
 _MAX_TERMS = 10000
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 # Rescale the running series sum before it can overflow; the factor is a
 # power of two so rescaling is exact.
 _RESCALE_LIMIT = 2.0 ** 960
 _RESCALE_FACTOR = 2.0 ** -960
 _RESCALE_LOG = 960.0 * math.log(2.0)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # Reflection keeps the Lanczos sum in its accurate range.
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    y = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (y + i)
-    t = y + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (y + 0.5) * math.log(t) - t + math.log(acc)
 
 
 def _series_sum(alpha: float, beta: float, w: float) -> tuple[float, float]:
@@ -85,39 +55,42 @@ def _series_sum(alpha: float, beta: float, w: float) -> tuple[float, float]:
     )
 
 
-def _large_argument(a: float, b: float, y: float) -> float | None:
-    """M(a, b, -y) from its large-y expansion (DLMF 13.7.2), or None.
+def _expansion_terms(a: float, b: float, y: float,
+                     tol: float = REL_TOL) -> list[float] | None:
+    """Terms of M(a, b, -y)'s large-y expansion (DLMF 13.7.2), or None.
 
-    Gamma(b)/Gamma(b-a) y^-a sum_s (a)_s (a-b+1)_s / s! y^-s, used only
-    when b > a, the terms fall below REL_TOL before they start to grow,
-    and the dropped part e^-y y^(a-b) Gamma(b)/Gamma(a) is below REL_TOL
-    of the sum.
+    M(a, b, -y) ~ Gamma(b)/Gamma(b-a) y^-a sum_s t_s, with the terms
+    t_s = (a)_s (a-b+1)_s / s! y^-s. They stop once one is below tol of
+    their running sum. None when b <= a, when y is not finite and
+    positive, when the terms grow before they stop, or when the dropped
+    part e^-y y^(a-b) Gamma(b)/Gamma(a) is not below tol of the sum.
     """
-    if not b > a:
+    if not (b > a and 0.0 < y < math.inf):
         return None
-    term = 1.0
+    terms = [1.0]
     total = 1.0
     for s in itertools.count(1):
         ratio = (a + s - 1.0) * (a - b + s) / (s * y)
         if abs(ratio) > 1.0:
             return None
-        term *= ratio
-        total += term
-        if abs(term) <= REL_TOL * abs(total):
+        terms.append(terms[-1] * ratio)
+        total += terms[-1]
+        if abs(terms[-1]) <= tol * abs(total):
             break
     # Dropped part over the sum's prefactor, in logs; Gamma(b) cancels.
-    log_gamma_ba = log_gamma(b - a)
-    log_dropped = -y + (2.0 * a - b) * math.log(y) + log_gamma_ba - log_gamma(a)
-    if not (total > 0.0 and log_dropped < math.log(REL_TOL * total)):
+    log_dropped = (-y + (2.0 * a - b) * math.log(y)
+                   + math.lgamma(b - a) - math.lgamma(a))
+    limit = tol * total
+    if not (limit > 0.0 and log_dropped < math.log(limit)):
         return None
-    return math.exp(log_gamma(b) - log_gamma_ba - a * math.log(y)) * total
+    return terms
 
 
 def kummer_m(a: float, b: float, z: float) -> float:
     """Kummer's confluent hypergeometric function M(a, b, z) for a, b > 0.
 
     At z < 0 the large-|z| expansion runs when it meets REL_TOL (see
-    _large_argument); otherwise M(a, b, z) = e^z M(b - a, b, -z), whose
+    _expansion_terms); otherwise M(a, b, z) = e^z M(b - a, b, -z), whose
     series has positive terms only. Summing the defining series directly
     at z < 0 loses roughly |z| decimal digits to cancellation, so that
     route is never taken.
@@ -131,9 +104,10 @@ def kummer_m(a: float, b: float, z: float) -> float:
     if z == 0.0:
         return 1.0
     if z < 0.0:
-        value = _large_argument(a, b, -z)
-        if value is not None:
-            return value
+        terms = _expansion_terms(a, b, -z)
+        if terms is not None:
+            log_prefactor = math.lgamma(b) - math.lgamma(b - a) - a * math.log(-z)
+            return math.exp(log_prefactor) * math.fsum(terms)
         total, log_scale = _series_sum(b - a, b, -z)
         exponent = z + log_scale
     else:
@@ -166,26 +140,55 @@ def _validate_nx(n: int, x: float, minimum_n: int) -> int:
 def varrho(n: int, x: float) -> float:
     """Mean resultant length profile in dimension parameter n at x >= 0.
 
-    Strictly increasing from 0 toward 1.
+    Strictly increasing from 0 toward 1. Where the large-argument
+    expansion runs, its gamma prefactor cancels: varrho is the sum of
+    the terms for M(1/2, (n+2)/2, -x^2/2).
     """
     n = _validate_nx(n, x, minimum_n=1)
     if x == 0.0:
         return 0.0
-    prefactor = math.exp(
-        log_gamma((n + 1) / 2.0) - log_gamma((n + 2) / 2.0)
-    ) / math.sqrt(2.0)
-    return prefactor * x * kummer_m(0.5, (n + 2) / 2.0, -0.5 * x * x)
+    b = (n + 2) / 2.0
+    y = 0.5 * x * x
+    terms = _expansion_terms(0.5, b, y)
+    if terms is not None:
+        return math.fsum(terms)
+    prefactor = math.exp(math.lgamma(b - 0.5) - math.lgamma(b)) / math.sqrt(2.0)
+    return prefactor * x * kummer_m(0.5, b, -y)
 
 
 def f_var(n: int, x: float) -> float:
-    """Variance of the direction component along the mean axis."""
+    """Variance of the direction component along the mean axis.
+
+    f = 1 - (n-1)/n M(1, n/2+1, -y) - varrho^2 with y = x^2/2. Where the
+    large-argument expansion runs, let c_s be its terms for varrho, d_s
+    those for M(1, n/2+1, -y) and T = sum_{s>=2} c_s. The 1 and 1/y
+    parts cancel on paper, leaving
+    f = -[(n-1)/(2y) sum_{s>=1} d_s + c_1^2 + T (2 (1 + c_1) + T)].
+    f is about (n-1)/(8 y^2) there, so the terms run to REL_TOL of that.
+    """
     n = _validate_nx(n, x, minimum_n=2)
-    m = kummer_m(1.0, n / 2.0 + 1.0, -0.5 * x * x)
-    r = varrho(n, x)
-    return 1.0 - (n - 1) / n * m - r * r
+    y = 0.5 * x * x
+    # REL_TOL of (n-1)/(8y^2), capped at REL_TOL; y*y may underflow to 0.
+    tol = REL_TOL * (n - 1) / (n - 1 + 8.0 * y * y)
+    c = _expansion_terms(0.5, (n + 2) / 2.0, y, tol)
+    d = None if c is None else _expansion_terms(1.0, n / 2.0 + 1.0, y, tol)
+    if d is None:
+        r = varrho(n, x)
+        return 1.0 - (n - 1) / n * kummer_m(1.0, n / 2.0 + 1.0, -y) - r * r
+    t = math.fsum(c[2:])
+    return -((n - 1) / (2.0 * y) * math.fsum(d[1:])
+             + c[1] * c[1] + t * (2.0 * (1.0 + c[1]) + t))
 
 
 def g_var(n: int, x: float) -> float:
-    """Variance of a direction component orthogonal to the mean axis."""
+    """Variance of a direction component orthogonal to the mean axis.
+
+    M(1, n/2+1, -y) / n with y = x^2/2; where the large-argument
+    expansion runs this is the sum of its terms over 2y.
+    """
     n = _validate_nx(n, x, minimum_n=2)
-    return kummer_m(1.0, n / 2.0 + 1.0, -0.5 * x * x) / n
+    y = 0.5 * x * x
+    terms = _expansion_terms(1.0, n / 2.0 + 1.0, y)
+    if terms is not None:
+        return math.fsum(terms) / (2.0 * y)
+    return kummer_m(1.0, n / 2.0 + 1.0, -y) / n

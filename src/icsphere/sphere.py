@@ -10,13 +10,12 @@ moment formulas diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import eigh_sorted
 from .errors import DegenerateInputError, DimensionError, DomainError
-from .specfun import log_gamma
 
 __all__ = [
     "UNIT_TOL",
@@ -41,6 +40,9 @@ DEGENERACY_ABS = 1e-300
 # Values per block of standardize_rows: a block and its squares stay in
 # L2 cache while each step runs over them.
 _ROW_BLOCK_VALUES = 1 << 15
+
+# Largest entry of u^T u - I that Representation accepts as orthogonal.
+_ORTHO_TOL = 1e-10
 
 
 def _as_vector(z, minimum_size: int = 2) -> np.ndarray:
@@ -249,7 +251,6 @@ class Representation:
     u: np.ndarray
     lam: np.ndarray
     nu: np.ndarray
-    _ortho_tol: float = field(default=1e-10, repr=False)
 
     def __post_init__(self):
         u = np.array(self.u, dtype=np.float64)
@@ -260,7 +261,7 @@ class Representation:
         n = u.shape[0]
         if lam.shape != (n - 1,) or nu.shape != (n - 1,):
             raise DimensionError("lam and nu must have length n - 1")
-        if np.max(np.abs(u.T @ u - np.eye(n))) > self._ortho_tol:
+        if np.max(np.abs(u.T @ u - np.eye(n))) > _ORTHO_TOL:
             raise DomainError("u is not orthogonal")
         if np.any(lam < 0.0):
             raise DomainError("lam must be componentwise nonnegative")
@@ -317,5 +318,5 @@ def support_surface_area(n: int) -> float:
     if n < 3:
         raise DimensionError(f"surface area needs n >= 3, got {n}")
     return math.exp(
-        math.log(2.0) + 0.5 * (n - 2) * math.log(math.pi) - log_gamma((n - 2) / 2.0)
+        math.log(2.0) + 0.5 * (n - 2) * math.log(math.pi) - math.lgamma((n - 2) / 2.0)
     )

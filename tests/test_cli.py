@@ -479,7 +479,7 @@ class TestOracle:
         code, out, _ = run(["oracle", "--suite", "specfun"], capsys)
         assert code == 0
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 4
+        assert len(lines) == 3
         assert all(l.startswith("ok  ") for l in lines)
 
     def test_optimize_suite(self, capsys):
@@ -524,7 +524,7 @@ class TestRerun:
     @pytest.mark.parametrize("argv,artifacts", [
         (["simulate", "mrl-check"], {
             "mrl_check.json":
-            "6bc5901d914abea57787d394b99c0101c83f3b14b23580f814a20e9ce26ed470"}),
+            "1daeefe92d9e80e995ae4e9e9adf17ccea15a3d7111db1576f238dd922d27570"}),
         (["simulate", "md-perturb", "--axis", "mu1", "--factors", "0.5,2"], {
             "md_perturb.csv":
             "a9226cb042f89592ef91476925cea264653320c71fc198ddb47c74f19b2d501a"}),

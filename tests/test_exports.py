@@ -1,0 +1,30 @@
+"""Every public name the package lists must resolve.
+
+A name dropped from a module but left in icsphere.__all__ (or the other
+way round) fails here rather than at a user's import.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import icsphere
+
+SUBMODULES = sorted(
+    info.name for info in pkgutil.iter_modules(icsphere.__path__)
+    if info.name != "__main__"
+)
+
+
+def test_package_all_resolves():
+    missing = [name for name in icsphere.__all__ if not hasattr(icsphere, name)]
+    assert missing == []
+    assert len(set(icsphere.__all__)) == len(icsphere.__all__)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_all_resolves(name):
+    module = importlib.import_module(f"icsphere.{name}")
+    exported = getattr(module, "__all__", [])
+    assert [n for n in exported if not hasattr(module, n)] == []

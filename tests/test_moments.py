@@ -3,6 +3,7 @@ equicorrelated model, and the projected covariance structure."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,22 @@ class TestCovChi:
         w -= (w @ md) * md
         w /= np.linalg.norm(w)
         assert w @ c @ w == pytest.approx(g, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [2.0, 5.0, 8.0, 10.0, 20.0])
+    def test_two_assets_far_tail(self, x):
+        # With two assets f = 1 - erf(x/sqrt 2)^2 = erfc (2 - erfc), which
+        # is 3e-23 at x = 10: forming 1 - erf^2 in floats leaves 4e-16.
+        model = moments.HomoscedasticModel(
+            mu=np.array([x * S2, -x * S2]), sigma=1.0, rho=0.0)
+        with mpmath.workdps(50):
+            e = mpmath.erfc(mpmath.mpf(model.concentration()) / mpmath.sqrt(2))
+            f_ref = float(e * (2 - e))
+        cov = moments.cov_chi_homoscedastic(model)
+        assert cov == pytest.approx(
+            np.array([[0.5, -0.5], [-0.5, 0.5]]) * f_ref, rel=1e-13, abs=0.0)
+        md = sphere.standardize(model.mu)
+        assert moments.variance_T_homoscedastic(md, model) == pytest.approx(
+            f_ref, rel=1e-13, abs=0.0)
 
     def test_trace_matches_canonical(self):
         model = moments.HomoscedasticModel(

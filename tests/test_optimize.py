@@ -14,6 +14,7 @@ from icsphere.errors import (
     NoUniqueSolutionError,
     UndefinedMeanDirectionError,
 )
+from tests.test_specfun import mp_curves
 
 
 def hyperplane_basis(n: int) -> np.ndarray:
@@ -134,6 +135,19 @@ class TestMinVariance:
                 float(res.theta_star.coords @ sphere.standardize(model.mu).coords)
             )
             assert align == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [3, 10, 50])
+    def test_value_at_concentration_1000(self, n):
+        # f is about (n - 2) / (8 y^2) with y = 5e5, below g = 1/(2y) by
+        # eight orders; the value still carries f to eigh's floor, eps g.
+        mu = 1000.0 * hyperplane_basis(n)[:, 0]
+        model = moments.HomoscedasticModel(mu=mu, sigma=1.0, rho=0.0)
+        f_ref = mp_curves(n - 1, model.concentration())[1]
+        res = optimize.min_variance(moments.cov_chi_homoscedastic(model))
+        assert res.value == pytest.approx(f_ref, rel=1e-9, abs=0.0)
+        md = sphere.standardize(model.mu)
+        assert moments.variance_T_homoscedastic(md, model) == pytest.approx(
+            f_ref, rel=1e-9, abs=0.0)
 
     def test_three_asset_grid_oracle(self):
         cov = random_constrained_psd(3, seed=7)
