@@ -227,7 +227,11 @@ def _cmd_simulate_ic_pdf(args) -> int:
 def _cmd_simulate_md_perturb(args) -> int:
     params = _load_params(args.params)
     mu, cov = fixtures.model_params(params, "three")
-    factors = [float(f) for f in args.factors.split(",") if f.strip() != ""]
+    try:
+        factors = [float(f) for f in args.factors.split(",") if f.strip() != ""]
+    except ValueError:
+        raise MalformedInputError(
+            f"--factors is not a list of numbers: {args.factors!r}") from None
     stream = montecarlo.SeededStream(args.seed)
     points = montecarlo.md_perturbation_experiment(
         mu, cov, args.axis, factors, args.count, stream)
@@ -510,6 +514,10 @@ def _cmd_rerun(args) -> int:
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         raise MalformedInputError(
             f"unusable manifest: argv must be a list of strings, got {argv!r}")
+    if not argv or argv[0] not in ("moments", "simulate", "empirical", "oracle"):
+        raise MalformedInputError(
+            "unusable manifest: argv must start with a command that writes "
+            f"a manifest, got {argv!r}")
     return main(argv + ["--output-dir", str(args.output_dir)])
 
 

@@ -201,8 +201,7 @@ def load_panel(path, missing_policy: str = "cross_mean") -> ReturnPanel:
             np.copyto(arr, fill[:, None], where=holes)
             filled_cells = int(holes.sum())
     dropped_rows = int((~row_keep).sum())
-    # Row selection makes the row-major copy that every later row
-    # reduction (standardize_rows) expects, even when every row is kept.
+    # Row selection makes a row-major copy, even when every row is kept.
     arr = arr[row_keep]
     missing = missing[row_keep]
     dates = [d for d, k in zip(dates, row_keep) if k]
@@ -245,7 +244,8 @@ class StandardizedPanel:
         return tuple(itertools.compress(self.source.dates, self.kept))
 
     def restrict(self, rows) -> "StandardizedPanel":
-        """Sub-panel of the held rows that the source-row mask rows selects."""
+        """Sub-panel of the held rows that the source-row mask rows selects;
+        a mask over every held row returns this panel itself."""
         rows = np.asarray(rows)
         if rows.dtype != bool or rows.shape != self.kept.shape:
             raise DimensionError(
@@ -255,10 +255,10 @@ class StandardizedPanel:
         if not kept.any():
             raise DomainError("restriction keeps no rows")
         held = rows[self.kept]
-        # A mask over every held row shares the (immutable) sample.
-        sample = self.sample if held.all() else DirectionalSample(self.sample.matrix[held])
+        if held.all():
+            return self
         return StandardizedPanel(
-            sample=sample,
+            sample=DirectionalSample(self.sample.matrix[held]),
             source=self.source,
             dropped_degenerate=0,
             kept=kept,
@@ -425,11 +425,16 @@ def rolling_mrl_cssd(spanel: StandardizedPanel, window: int = 20) -> list[tuple]
     cssd_t is the cross-sectional dispersion of the window-mean return,
     (1/sqrt(n)) ||P zbar_t||. Every window is a difference of prefix
     sums over the source rows. Windows containing a non-standardizable
-    row yield NaN mrl. Returns (date, mrl, cssd) tuples.
+    row yield NaN mrl. Returns (date, mrl, cssd) tuples. A panel that
+    lacks a standardizable row of its source (a restriction) raises
+    DomainError.
     """
     if window < 2:
         raise DomainError(f"window must be at least 2, got {window}")
     panel = spanel.source
+    if spanel.sample.size + spanel.dropped_degenerate != panel.t:
+        raise DomainError("rolling statistics need every standardizable row "
+                          "of the source panel, not a restriction")
     t, n = panel.returns.shape
     if window > t:
         raise DomainError(f"window {window} exceeds the panel length {t}")

@@ -4,6 +4,12 @@ Everything user-facing derives from ValueError or RuntimeError so the
 command-line layer can map failures onto stable exit codes.
 """
 
+__all__ = [
+    "ConvergenceError", "DegenerateInputError", "DimensionError", "DomainError",
+    "InvalidCovarianceError", "MalformedInputError", "ModelError",
+    "NoUniqueSolutionError", "UndefinedMeanDirectionError",
+]
+
 
 class DomainError(ValueError):
     """Argument lies outside the mathematical domain of an operation."""

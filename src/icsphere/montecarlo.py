@@ -35,8 +35,8 @@ from .errors import (
     UndefinedMeanDirectionError,
 )
 from .moments import GaussianModel, MomentSummary, _mean_direction
-from .sphere import (_ROW_BLOCK_VALUES, UnitDirection, _row_sums, standardize,
-                     standardize_rows)
+from .sphere import (_ROW_BLOCK_VALUES, UNIT_TOL, UnitDirection, _row_sums,
+                     standardize, standardize_rows)
 
 __all__ = [
     "SHARD_ROWS",
@@ -194,19 +194,6 @@ def _validate_int(value: int, name: str, minimum: int = 1) -> int:
     return value
 
 
-def _shards(count: int) -> list[tuple[int, int, int]]:
-    """(shard_index, start_row, rows) triples covering count rows."""
-    out = []
-    start = 0
-    i = 0
-    while start < count:
-        rows = min(SHARD_ROWS, count - start)
-        out.append((i, start, rows))
-        start += rows
-        i += 1
-    return out
-
-
 def _block_rows(n: int) -> int:
     """Rows per block of a streamed shard: the largest power of two with
     at most _SHARD_BLOCK_VALUES values, or SHARD_ROWS (whole shards)
@@ -240,7 +227,8 @@ def _map_shards(fn, n: int, count: int, stream: SeededStream,
     an 8-row one changed all 8 rows at n = 50.
     """
     out = []
-    for i, _, rows in _shards(count):
+    for i, start in enumerate(range(0, count, SHARD_ROWS)):
+        rows = min(SHARD_ROWS, count - start)
         source = _NormalSource(stream.shifted(i))
         step = _block_rows(n) if blocked else rows
         k = max(rows // step, 1)
@@ -301,12 +289,13 @@ def sample_mvn(model: GaussianModel, count: int, stream: SeededStream) -> np.nda
 
 @dataclass(frozen=True, eq=False)
 class DirectionalSample:
-    """Rows on the centered unit sphere, one direction per observation."""
+    """Rows on the centered unit sphere, one direction per observation,
+    held as a C-ordered copy so that no estimate depends on the layout."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=np.float64)
+        arr = np.array(self.matrix, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise DimensionError(f"expected a 2-d array, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 2:
@@ -314,9 +303,9 @@ class DirectionalSample:
         if not np.all(np.isfinite(arr)):
             raise DomainError("sample has non-finite entries")
         norms = np.linalg.norm(arr, axis=1)
-        if float(np.max(np.abs(norms - 1.0))) > 1e-12:
+        if float(np.max(np.abs(norms - 1.0))) > UNIT_TOL:
             raise DomainError("rows must have unit norm")
-        if float(np.max(np.abs(arr.sum(axis=1)))) > 1e-12:
+        if float(np.max(np.abs(arr.sum(axis=1)))) > UNIT_TOL:
             raise DomainError("rows must sum to zero")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)

@@ -45,12 +45,12 @@ _ROW_BLOCK_VALUES = 1 << 15
 _ORTHO_TOL = 1e-10
 
 
-def _as_vector(z, minimum_size: int = 2) -> np.ndarray:
+def _as_vector(z) -> np.ndarray:
     arr = np.asarray(z, dtype=np.float64)
     if arr.ndim != 1:
         raise DimensionError(f"expected a 1-d vector, got shape {arr.shape}")
-    if arr.size < minimum_size:
-        raise DimensionError(f"need at least {minimum_size} components, got {arr.size}")
+    if arr.size < 2:
+        raise DimensionError(f"need at least 2 components, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise DomainError("vector has non-finite entries")
     return arr
@@ -124,17 +124,16 @@ def standardize(z) -> UnitDirection:
     return UnitDirection(_unitize_centered(c))
 
 
-def _row_sums(t: np.ndarray, sequential: bool = False) -> np.ndarray:
+def _row_sums(t: np.ndarray) -> np.ndarray:
     """Sums over the first axis of t, added in numpy's order for rows.
 
     Column j of the result equals numpy's add.reduce(t.T, axis=1)[j]
-    bit for bit. numpy sums a row pairwise: fewer than 8 terms in
-    sequence; up to 128 terms in 8 partial sums over every 8th term,
-    joined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), with the
-    terms past the last multiple of 8 added after that in sequence; more
-    terms as the sum of two halves split at a multiple of 8. A matrix
-    whose rows lie closer in memory than its columns (Fortran order) it
-    sums column by column in sequence instead: sequential=True.
+    bit for bit when t.T is C-ordered. numpy sums such a row pairwise:
+    fewer than 8 terms in sequence; up to 128 terms in 8 partial sums
+    over every 8th term, joined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5)
+    + (r6 + r7)), with the terms past the last multiple of 8 added after
+    that in sequence; more terms as the sum of two halves split at a
+    multiple of 8.
 
     numpy also adds each total to its identity 0.0, which only turns a
     total of -0.0 into 0.0; that addition is skipped here. Only a row of
@@ -142,7 +141,7 @@ def _row_sums(t: np.ndarray, sequential: bool = False) -> np.ndarray:
     whatever the sign of its sum.
     """
     n = t.shape[0]
-    if sequential or n < 8:
+    if n < 8:
         s = t[0] + t[1]
         for j in range(2, n):
             s += t[j]
@@ -175,9 +174,10 @@ def standardize_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     the centering, the norm, the degeneracy floor from the row's norm,
     the division, a second centering pass and the renormalization, per
     element in that order. Row sums are added in numpy's order for
-    add.reduce(x, axis=1) (see _row_sums), so every output bit equals
-    that of the same steps written as whole-matrix numpy calls, and no
-    result depends on the block size.
+    add.reduce(x, axis=1) on a C-ordered x (see _row_sums), so every
+    output bit equals that of the same steps written as whole-matrix
+    numpy calls on a C-ordered copy. The bits depend on the values only,
+    not on the block size or on the memory layout.
     """
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2:
@@ -185,9 +185,6 @@ def standardize_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     m, n = arr.shape
     if n < 2:
         raise DimensionError("rows need at least 2 components")
-    # numpy reduces the rows of a matrix stored column-major column by
-    # column (see _row_sums); a single row it always sums pairwise.
-    sequential = m > 1 and 0 < abs(arr.strides[0]) < abs(arr.strides[1])
     step = max(_ROW_BLOCK_VALUES // n, 1)
     units = np.empty((m, n))
     kept = np.empty(m, dtype=bool)
@@ -201,11 +198,10 @@ def standardize_rows(rows) -> tuple[np.ndarray, np.ndarray]:
         if not np.isfinite(t).all():
             raise DomainError("matrix has non-finite entries")
         np.multiply(t, t, out=sq)
-        floor = np.maximum(DEGENERACY_REL * np.sqrt(_row_sums(sq, sequential)),
-                           DEGENERACY_ABS)
-        t -= _row_sums(t, sequential) / n
+        floor = np.maximum(DEGENERACY_REL * np.sqrt(_row_sums(sq)), DEGENERACY_ABS)
+        t -= _row_sums(t) / n
         np.multiply(t, t, out=sq)
-        r = np.sqrt(_row_sums(sq, sequential))
+        r = np.sqrt(_row_sums(sq))
         keep = np.greater(r, floor, out=kept[lo:lo + b])
         if not keep.all():
             t, r = t[:, keep], r[keep]

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from icsphere import cli, empirical, fixtures, moments, optimize, sphere
+from icsphere import cli, empirical, fixtures, moments, optimize, specfun, sphere
 from tests.conftest import business_days, one_factor_returns, write_panel_csv
 
 
@@ -150,6 +150,13 @@ class TestArgumentHandling:
         code, out, _ = run(["--version"], capsys)
         assert code == 0
         assert out.strip() == cli.__version__
+
+    def test_exhausted_series_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 0)
+        code, _, err = run(["moments", "--mu", "0.003,-0.001,0.002,0.0",
+                            "--sigma", "0.02", "--rho", "0.12"], capsys)
+        assert code == 3
+        assert "convergence failure" in err
 
 
 class TestSimulateMrlCheck:
@@ -296,6 +303,16 @@ class TestSimulateMdPerturb:
             capsys,
         )
         assert code == 0
+
+    def test_unparseable_factor_exits_2(self, tmp_path, capsys):
+        code, _, err = run(
+            ["simulate", "md-perturb", "--axis", "mu1", "--factors", "1,abc",
+             "--count", "400", "--output-dir", str(tmp_path / "bad")],
+            capsys,
+        )
+        assert code == 2
+        assert "--factors" in err
+        assert not (tmp_path / "bad").exists()
 
 
 class TestEmpirical:
@@ -501,6 +518,18 @@ class TestOracle:
             "cov.canonical_n3", "cov.canonical_n5", "cov.canonical_n9"
         }
 
+    def test_mismatch_exits_4_with_report(self, monkeypatch, tmp_path, capsys):
+        varrho = specfun.varrho
+        monkeypatch.setattr(specfun, "varrho",
+                            lambda n, x: varrho(n, x) * (1.0 + 1e-6))
+        out_dir = tmp_path / "orc"
+        code, _, err = run(["oracle", "--suite", "specfun",
+                            "--output-dir", str(out_dir)], capsys)
+        assert code == 4
+        assert "oracle failure" in err
+        report = read_json(out_dir / "oracle_report.json")
+        assert [c["ok"] for c in report["checks"]] == [False] * 3
+
 
 class TestRerun:
     def test_bit_identical_reexecution(self, tmp_path, capsys):
@@ -620,6 +649,20 @@ class TestRerun:
                             "--output-dir", str(tmp_path / "out")], capsys)
         assert code == 2
         assert "unusable manifest" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["rerun", "--manifest", "SELF"], ["--version"], [],
+    ], ids=["rerun-self", "no-command", "empty"])
+    def test_argv_not_a_manifest_command(self, argv, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        argv = [str(bad) if a == "SELF" else a for a in argv]
+        bad.write_text(json.dumps({"parameters": {"argv": argv}}))
+        code, out, err = run(["rerun", "--manifest", str(bad),
+                              "--output-dir", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert "unusable manifest" in err
+        assert out == ""
         assert not (tmp_path / "out").exists()
 
 

@@ -320,11 +320,11 @@ class TestStandardizePanel:
         with pytest.raises(DomainError):
             spanel.restrict(np.array([False, True, False, False]))
         # A mask that leaves out only the dropped row holds every row:
-        # the sample is shared, not copied.
+        # the panel itself comes back, its sample not copied.
         whole = spanel.restrict(np.array([True, False, True, True]))
-        assert whole.sample is spanel.sample
+        assert whole is spanel
         assert whole.kept.tolist() == [True, False, True, True]
-        assert whole.dropped_degenerate == 0
+        assert whole.dropped_degenerate == 1
 
 
 class TestWindowReport:
@@ -489,6 +489,23 @@ class TestRollingMrlCssd:
         assert nan_idx == [15 - window + 1 + j for j in range(window)]
         for _, _, cssd in out:
             assert math.isfinite(cssd)
+
+    def test_restricted_panel_rejected(self):
+        rng = np.random.default_rng(6)
+        matrix = rng.standard_normal((60, 5)) * 0.01
+        matrix[7] = 0.003  # constant cross-section, dropped
+        panel = self.panel_of(matrix)
+        rows = np.zeros(60, dtype=bool)
+        rows[20:40] = True
+        with pytest.raises(DomainError):
+            empirical.rolling_mrl_cssd(panel.restrict(rows), window=5)
+        # A mask over every held row leaves the panel whole.
+        every = panel.restrict(np.ones(60, dtype=bool))
+        assert every is panel
+        out = empirical.rolling_mrl_cssd(every, window=5)
+        assert [d for d, _, _ in out] == list(panel.source.dates[4:])
+        mrl = np.array([m for _, m, _ in out])
+        assert np.isnan(mrl).tolist() == [3 <= k <= 7 for k in range(56)]
 
     def test_window_bounds(self):
         rng = np.random.default_rng(5)

@@ -28,3 +28,15 @@ def test_submodule_all_resolves(name):
     module = importlib.import_module(f"icsphere.{name}")
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_package_all_is_the_library_modules_lists():
+    from icsphere import errors, moments, montecarlo, optimize, specfun, sphere
+
+    modules = (errors, specfun, sphere, moments, optimize, montecarlo)
+    assert icsphere.__all__ == ["__version__"] + [
+        name for module in modules for name in module.__all__
+    ]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(icsphere, name) is getattr(module, name)

@@ -197,16 +197,18 @@ class TestSeededStream:
 
 class TestShards:
     def test_small_count_single_shard(self):
-        assert mc._shards(100) == [(0, 0, 100)]
-        assert mc._shards(mc.SHARD_ROWS) == [(0, 0, mc.SHARD_ROWS)]
+        def rows(count):
+            return mc._map_shards(lambda g: g.shape, 2, count, mc.SeededStream(0))
+        assert rows(100) == [(100, 2)]
+        assert rows(mc.SHARD_ROWS) == [(mc.SHARD_ROWS, 2)]
 
     def test_split_counts(self):
-        shards = mc._shards(mc.SHARD_ROWS * 2 + 5)
-        assert shards == [
-            (0, 0, mc.SHARD_ROWS),
-            (1, mc.SHARD_ROWS, mc.SHARD_ROWS),
-            (2, 2 * mc.SHARD_ROWS, 5),
-        ]
+        stream = mc.SeededStream(7)
+        shards = mc._map_shards(lambda g: g, 2, mc.SHARD_ROWS * 2 + 5, stream)
+        assert [g.shape for g in shards] == [(mc.SHARD_ROWS, 2)] * 2 + [(5, 2)]
+        for i, g in enumerate(shards):
+            want = mc._NormalSource(stream.shifted(i)).take(g.size)
+            assert np.array_equal(g.ravel(), want)
 
     def test_block_rows_power_of_two_dividing_shard(self):
         # Every n that can stream, then n around 2^17 / 2^k beyond it.
@@ -288,6 +290,20 @@ class TestDirectionalSample:
         with pytest.raises(ValueError):
             d.matrix[0, 0] = 1.0
         assert d.points()[0].coords == pytest.approx([s, -s])
+
+    def test_estimates_depend_on_values_not_layout(self):
+        # Column sums over 5,000 rows add in a layout-dependent order
+        # unless the sample holds one layout.
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((5000, 50)) * 10.0 ** rng.uniform(-3, 3, (5000, 50))
+        units, _ = sphere.standardize_rows(x)
+        c_order = mc.DirectionalSample(units)
+        fortran = mc.DirectionalSample(np.asfortranarray(units))
+        assert fortran.matrix.flags.c_contiguous
+        want, got = mc.estimate_md_mrl(c_order), mc.estimate_md_mrl(fortran)
+        assert float.hex(got.mrl) == float.hex(want.mrl)
+        assert np.array_equal(got.md.coords, want.md.coords)
+        assert np.array_equal(mc.estimate_cov(fortran), mc.estimate_cov(c_order))
 
 
 class TestEstimators:
