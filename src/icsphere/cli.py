@@ -15,6 +15,7 @@ import argparse
 import csv
 import datetime
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -83,75 +84,77 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
 
 
 def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    """--seed, else $ICSPHERE_SEED, else DEFAULT_SEED, in [0, 2^64):
+    SeededStream reduces a seed mod 2^64, so wider ones would alias."""
+    if value is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise MalformedInputError(
                 f"{SEED_ENV_VAR} must be an integer, got {env!r}"
             ) from None
-    return DEFAULT_SEED
+    if not 0 <= value < 1 << 64:
+        raise MalformedInputError(f"seed must lie in [0, 2^64), got {value}")
+    return value
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(_json_text(obj))
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # Cells are Python floats, ints or strs; csv writes a float with repr.
-        writer.writerows(rows)
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _ensure_outdir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _manifest_argv(args) -> list[str]:
     """The command path, then every option of its parser that has a
     value, in parser order. --output-dir and --threads never change an
-    artifact, so they are left out."""
+    artifact, so they are left out. str gives a float's repr."""
     argv = list(args.path)
     for action in args.parser._actions:
         value = getattr(args, action.dest, None)
         if (action.option_strings and value is not None
                 and action.dest not in ("output_dir", "threads")):
-            argv += [action.option_strings[0], _cell(value)]
+            argv += [action.option_strings[0], str(value)]
     return argv
 
 
-def _write_manifest(outdir: Path, args, artifact_names: list[str]) -> None:
-    manifest = {
-        "command": ".".join(args.path),
-        "parameters": {"argv": _manifest_argv(args)},
-        "seed": getattr(args, "seed", None),
-        "artifacts": {
-            name: _sha256_file(outdir / name) for name in sorted(artifact_names)
-        },
-        "library_version": __version__,
-    }
-    _write_json(outdir / "manifest.json", manifest)
+class _Output:
+    """A run's --output-dir. Each artifact is written from its text, and
+    the sha256 of the bytes written goes to manifest.json. Every
+    artifact is ASCII, so its bytes are its UTF-8 text."""
+
+    def __init__(self, args):
+        self.args = args
+        self.dir = Path(args.output_dir)
+        self.hashes: dict[str, str] = {}
+
+    def text(self, name: str, text: str) -> None:
+        data = text.encode()
+        try:
+            if not self.hashes:  # the first write makes the directory
+                self.dir.mkdir(parents=True, exist_ok=True)
+            (self.dir / name).write_bytes(data)
+        except OSError as exc:
+            raise MalformedInputError(f"unusable --output-dir: {exc}") from None
+        self.hashes[name] = hashlib.sha256(data).hexdigest()
+
+    def json(self, name: str, obj) -> None:
+        self.text(name, _json_text(obj))
+
+    def csv(self, name: str, header: list[str], rows) -> None:
+        buf = io.StringIO()
+        # Cells are Python floats, ints or strs; csv writes a float with repr.
+        csv.writer(buf).writerows(itertools.chain([header], rows))
+        self.text(name, buf.getvalue())
+
+    def manifest(self) -> None:
+        self.json("manifest.json", {
+            "command": ".".join(self.args.path),
+            "parameters": {"argv": _manifest_argv(self.args)},
+            "seed": getattr(self.args, "seed", None),
+            "artifacts": dict(self.hashes),
+            "library_version": __version__,
+        })
 
 
 # ---------------------------------------------------------------- moments
@@ -176,9 +179,9 @@ def _cmd_moments(args) -> int:
     text = _json_text(payload)
     sys.stdout.write(text)
     if args.output_dir is not None:
-        outdir = _ensure_outdir(args)
-        (outdir / "moments.json").write_text(text)
-        _write_manifest(outdir, args, ["moments.json"])
+        out = _Output(args)
+        out.text("moments.json", text)
+        out.manifest()
     return EXIT_OK
 
 
@@ -201,9 +204,9 @@ def _cmd_simulate_ic_pdf(args) -> int:
     stream = montecarlo.SeededStream(args.seed)
     density, values = montecarlo.ic_distribution(
         model, args.mode, args.count, stream, bandwidth=args.bandwidth)
-    outdir = _ensure_outdir(args)
-    _write_csv(outdir / "ic_pdf_density.csv", ["t", "density"],
-               zip(density.grid.tolist(), density.density.tolist()))
+    out = _Output(args)
+    out.csv("ic_pdf_density.csv", ["t", "density"],
+            zip(density.grid.tolist(), density.density.tolist()))
     summary = {
         "mode": args.mode,
         "variant": args.variant,
@@ -215,8 +218,8 @@ def _cmd_simulate_ic_pdf(args) -> int:
         "min": float(values.min()),
         "max": float(values.max()),
     }
-    _write_json(outdir / "ic_pdf_summary.json", summary)
-    _write_manifest(outdir, args, ["ic_pdf_density.csv", "ic_pdf_summary.json"])
+    out.json("ic_pdf_summary.json", summary)
+    out.manifest()
     sys.stdout.write(
         f"ic-pdf: {values.size} projections, mean {summary['mean']:.6f}, "
         f"sd {summary['sd']:.6f}\n"
@@ -236,7 +239,6 @@ def _cmd_simulate_md_perturb(args) -> int:
     points = montecarlo.md_perturbation_experiment(
         mu, cov, args.axis, factors, args.count, stream)
     base = standardize(mu).coords
-    outdir = _ensure_outdir(args)
     n = len(mu)
     header = ["factor", "mrl"] + [f"md_{i + 1}" for i in range(n)] + ["angle_to_base_deg"]
     rows = []
@@ -245,8 +247,9 @@ def _cmd_simulate_md_perturb(args) -> int:
         rows.append([pt.factor, pt.mrl]
                     + [float(v) for v in pt.md.coords]
                     + [math.degrees(math.acos(cosang))])
-    _write_csv(outdir / "md_perturb.csv", header, rows)
-    _write_manifest(outdir, args, ["md_perturb.csv"])
+    out = _Output(args)
+    out.csv("md_perturb.csv", header, rows)
+    out.manifest()
     sys.stdout.write(f"md-perturb: {len(points)} factors along {args.axis}\n")
     return EXIT_OK
 
@@ -284,9 +287,9 @@ def _cmd_simulate_mrl_check(args) -> int:
         "bracket": bracket,
         "mc_within_bracket": bool(bracket[0] <= mc <= bracket[1]),
     }
-    outdir = _ensure_outdir(args)
-    _write_json(outdir / "mrl_check.json", payload)
-    _write_manifest(outdir, args, ["mrl_check.json"])
+    out = _Output(args)
+    out.json("mrl_check.json", payload)
+    out.manifest()
     sys.stdout.write(
         f"mrl-check: closed-form {closed:.4f} | mc {mc:.4f} "
         f"(count {args.count})\n"
@@ -329,36 +332,30 @@ def _cmd_empirical(args) -> int:
                 f"--iota has {iota.dim} components, panel has {panel.n}"
             )
 
-    outdir = _ensure_outdir(args)
-    artifacts = []
+    out = _Output(args)
     window_labels = []
     iso_dates = [d.isoformat() for d in panel.dates]
     for label, rows in _parse_windows(args.windows, panel):
         sub = spanel.restrict(rows)
         report = emp.window_report(sub, label, iota=iota)
-        _write_json(outdir / f"window_{label}.json", report.to_json_dict())
-        _write_csv(outdir / f"scatter_spectrum_{label}.csv",
-                   ["rank", "eigenvalue"],
-                   [(i + 1, float(v)) for i, v in
-                    enumerate(report.scatter_eigenvalues)])
-        _write_csv(outdir / f"projected_{label}.csv", ["date", "value"],
-                   zip(itertools.compress(iso_dates, sub.kept),
-                       report.projected_series.tolist()))
-        artifacts += [f"window_{label}.json", f"scatter_spectrum_{label}.csv",
-                      f"projected_{label}.csv"]
+        out.json(f"window_{label}.json", report.to_json_dict())
+        out.csv(f"scatter_spectrum_{label}.csv", ["rank", "eigenvalue"],
+                [(i + 1, float(v)) for i, v in
+                 enumerate(report.scatter_eigenvalues)])
+        out.csv(f"projected_{label}.csv", ["date", "value"],
+                zip(itertools.compress(iso_dates, sub.kept),
+                    report.projected_series.tolist()))
         window_labels.append(label)
 
     corr = emp.correlation_summary(panel.returns[spanel.kept],
                                    spanel.sample.matrix)
-    _write_json(outdir / "correlations.json", corr)
-    artifacts.append("correlations.json")
+    out.json("correlations.json", corr)
 
     if args.rolling is not None:
         series = emp.rolling_mrl_cssd(spanel, window=args.rolling)
-        _write_csv(outdir / "rolling.csv", ["date", "mrl", "cssd"],
-                   [(d.isoformat(),
-                     "" if math.isnan(m) else m, c) for d, m, c in series])
-        artifacts.append("rolling.csv")
+        out.csv("rolling.csv", ["date", "mrl", "cssd"],
+                [(d.isoformat(), "" if math.isnan(m) else m, c)
+                 for d, m, c in series])
 
     info = {
         "input": str(args.input),
@@ -372,10 +369,8 @@ def _cmd_empirical(args) -> int:
         "missing_policy": args.missing_policy,
         "iota": args.iota,
     }
-    _write_json(outdir / "empirical_summary.json", info)
-    artifacts.append("empirical_summary.json")
-
-    _write_manifest(outdir, args, artifacts)
+    out.json("empirical_summary.json", info)
+    out.manifest()
     sys.stdout.write(
         f"empirical: {panel.t} rows x {panel.n} assets, "
         f"{len(window_labels)} windows, "
@@ -486,7 +481,7 @@ def _cmd_oracle(args) -> int:
     failed = [name for name, ok, _ in checks if not ok]
 
     if args.output_dir is not None:
-        outdir = _ensure_outdir(args)
+        out = _Output(args)
         report = {
             "suite": args.suite,
             "count": args.count,
@@ -495,8 +490,8 @@ def _cmd_oracle(args) -> int:
                 {"name": n, "ok": ok, "detail": d} for n, ok, d in checks
             ],
         }
-        _write_json(outdir / "oracle_report.json", report)
-        _write_manifest(outdir, args, ["oracle_report.json"])
+        out.json("oracle_report.json", report)
+        out.manifest()
     if failed:
         raise OracleFailure(f"{len(failed)} oracle check(s) failed: {failed}")
     return EXIT_OK

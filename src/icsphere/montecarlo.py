@@ -104,14 +104,19 @@ def _mix64_inplace(v: np.ndarray, scratch: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SeededStream:
-    """Address of one pseudo-random stream: (seed, stream_id)."""
+    """Address of one pseudo-random stream: (seed, stream_id).
+
+    Both are integers reduced mod 2^64, so seeds a multiple of 2^64
+    apart (-1 and 2^64 - 1, say) name the same stream.
+    """
 
     seed: int
     stream_id: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _int_index(self.seed) & _MASK64)
-        object.__setattr__(self, "stream_id", _int_index(self.stream_id) & _MASK64)
+        for name in ("seed", "stream_id"):
+            value = _validate_int(getattr(self, name), name, minimum=None)
+            object.__setattr__(self, name, value & _MASK64)
 
     def shifted(self, offset: int) -> "SeededStream":
         return SeededStream(self.seed, (self.stream_id + offset) & _MASK64)
@@ -184,12 +189,12 @@ class _NormalSource:
         return out[:count]
 
 
-def _validate_int(value: int, name: str, minimum: int = 1) -> int:
+def _validate_int(value: int, name: str, minimum: int | None = 1) -> int:
     try:
         value = _int_index(value)
     except TypeError:
         raise DomainError(f"{name} must be an int, got {value!r}") from None
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise DomainError(f"{name} must be at least {minimum}, got {value}")
     return value
 
@@ -409,7 +414,7 @@ def projected_moments_mc(n: int, x: float, count: int,
     norms add in numpy's order (sphere._row_sums): every bit is that of
     g / np.linalg.norm(g, axis=1)[:, None]. Rows of norm zero are dropped.
     """
-    n = _int_index(n)
+    n = _validate_int(n, "n", minimum=None)
     if n < 2:
         raise DimensionError(f"need n >= 2, got {n}")
     if not (x >= 0.0 and math.isfinite(x)):

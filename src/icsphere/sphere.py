@@ -76,10 +76,6 @@ class UnitDirection:
     def dim(self) -> int:
         return int(self.coords.size)
 
-    def as_array(self) -> np.ndarray:
-        """Read-only coordinate view."""
-        return self.coords
-
     def __neg__(self) -> "UnitDirection":
         return UnitDirection(-self.coords)
 
@@ -97,16 +93,6 @@ def centering_matrix(n: int) -> np.ndarray:
     return np.eye(n) - 1.0 / n
 
 
-def _unitize_centered(c: np.ndarray) -> np.ndarray:
-    r = float(np.linalg.norm(c))
-    u = c / r
-    # A second centering pass scrubs the O(eps * scale / r) residual sum
-    # that the first pass leaves when the input is nearly constant.
-    u -= u.mean()
-    u /= float(np.linalg.norm(u))
-    return u
-
-
 def standardize(z) -> UnitDirection:
     """Map z to its centered unit direction.
 
@@ -121,7 +107,12 @@ def standardize(z) -> UnitDirection:
         raise DegenerateInputError(
             "input is constant across components; its direction is undefined"
         )
-    return UnitDirection(_unitize_centered(c))
+    u = c / r
+    # A second centering pass scrubs the O(eps * scale / r) residual sum
+    # that the first pass leaves when the input is nearly constant.
+    u -= u.mean()
+    u /= float(np.linalg.norm(u))
+    return UnitDirection(u)
 
 
 def _row_sums(t: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import datetime
+import hashlib
 import json
 import math
 import subprocess
@@ -22,6 +23,10 @@ def run(argv, capsys):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def sha256_file(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def assert_same_artifacts(first, second):
@@ -205,6 +210,30 @@ class TestSimulateMrlCheck:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("seed,code", [
+        ("-1", 2), ("18446744073709551616", 2), ("18446744073709551615", 0),
+    ])
+    def test_seed_range(self, seed, code, tmp_path, capsys):
+        got, _, err = run(
+            ["simulate", "mrl-check", "--count", "2000", "--seed", seed,
+             "--output-dir", str(tmp_path / "x")],
+            capsys,
+        )
+        assert got == code
+        if code == 2:
+            assert "[0, 2^64)" in err
+            assert not (tmp_path / "x").exists()
+
+    def test_env_seed_out_of_range(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "-1")
+        code, _, err = run(
+            ["simulate", "mrl-check", "--count", "2000",
+             "--output-dir", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 2
+        assert "[0, 2^64)" in err
 
     def test_explicit_seed_beats_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "4242")
@@ -486,9 +515,9 @@ class TestEmpirical:
         out = tmp_path / "out"
         manifest = read_json(out / "manifest.json")
         for name, digest in manifest["artifacts"].items():
-            assert cli._sha256_file(out / name) == digest, name
+            assert sha256_file(out / name) == digest, name
         assert len(manifest["artifacts"]) == 15
-        assert cli._sha256_file(out / "manifest.json") == manifest_sha256
+        assert sha256_file(out / "manifest.json") == manifest_sha256
 
 
 class TestOracle:
@@ -664,6 +693,58 @@ class TestRerun:
         assert "unusable manifest" in err
         assert out == ""
         assert not (tmp_path / "out").exists()
+
+    def test_seed_outside_range_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps({"parameters": {"argv": [
+            "simulate", "mrl-check", "--count", "2000",
+            "--seed", "18446744073709551617"]}}))
+        code, _, err = run(["rerun", "--manifest", str(bad),
+                            "--output-dir", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert "[0, 2^64)" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestOutputDir:
+    @pytest.mark.parametrize("kind", [
+        "moments", "ic-pdf", "md-perturb", "mrl-check", "empirical", "oracle",
+    ])
+    def test_manifest_hashes_every_file(self, kind, five_year_panel_csv,
+                                        tmp_path, capsys):
+        argv = {
+            "moments": ["moments", "--mu", "1,2,4", "--sigma", "1.0",
+                        "--rho", "0.0", "--theta", "1,0,-1"],
+            "ic-pdf": ["simulate", "ic-pdf", "--count", "3000"],
+            "md-perturb": ["simulate", "md-perturb", "--axis", "mu1",
+                           "--factors", "0.5,2", "--count", "2000"],
+            "mrl-check": ["simulate", "mrl-check", "--count", "2000"],
+            "empirical": ["empirical", "--input", five_year_panel_csv,
+                          "--windows", "yearly", "--rolling", "20"],
+            "oracle": ["oracle", "--suite", "cov", "--count", "3000"],
+        }[kind]
+        out = tmp_path / "out"
+        code, _, err = run(argv + ["--output-dir", str(out)], capsys)
+        assert code == 0, err
+        artifacts = read_json(out / "manifest.json")["artifacts"]
+        files = {path.name for path in out.iterdir()} - {"manifest.json"}
+        assert set(artifacts) == files
+        for name, digest in artifacts.items():
+            assert sha256_file(out / name) == digest, name
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "mrl-check", "--count", "2000"],
+        ["oracle", "--suite", "specfun"],
+    ], ids=["mrl-check", "oracle"])
+    @pytest.mark.parametrize("where", ["file", "below-file"])
+    def test_unusable_output_dir_exits_2(self, argv, where, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        target = blocker if where == "file" else blocker / "sub"
+        code, _, err = run(argv + ["--output-dir", str(target)], capsys)
+        assert code == 2
+        assert "--output-dir" in err
+        assert blocker.read_text() == "not a directory\n"
 
 
 def computing_flags(tmp_path, panel_csv):

@@ -6,6 +6,7 @@ way round) fails here rather than at a user's import.
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +41,11 @@ def test_package_all_is_the_library_modules_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(icsphere, name) is getattr(module, name)
+
+
+def test_distribution_metadata_matches_package():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["name"] == "icsphere"
+    assert project["version"] == icsphere.__version__

@@ -194,6 +194,12 @@ class TestSeededStream:
         s = mc.SeededStream(seed=-1)
         assert s.seed == MASK
 
+    def test_non_integer_seed_is_domain_error(self):
+        with pytest.raises(DomainError, match="seed"):
+            mc.SeededStream(1.5)
+        with pytest.raises(DomainError, match="stream_id"):
+            mc.SeededStream(1, 0.5)
+
 
 class TestShards:
     def test_small_count_single_shard(self):
@@ -439,6 +445,11 @@ class TestProjectedMomentsMC:
             mc.projected_moments_mc(3, -0.5, 100, s)
         with pytest.raises(DomainError):
             mc.projected_moments_mc(3, math.inf, 100, s)
+
+    def test_non_integer_n_is_domain_error(self):
+        s = mc.SeededStream(seed=1)
+        with pytest.raises(DomainError, match="n must be an int"):
+            mc.projected_moments_mc(2.5, 1.0, 100, s)
 
 
 class TestKDE:
