@@ -77,9 +77,14 @@ class HomoscedasticModel:
         return s2 * ((1.0 - self.rho) * np.eye(n) + self.rho * np.ones((n, n)))
 
     def concentration(self) -> float:
-        """The scalar argument ||P mu|| / (sigma sqrt(1 - rho))."""
-        pmu = self.mu - self.mu.mean()
-        return float(np.linalg.norm(pmu)) / (self.sigma * math.sqrt(1.0 - self.rho))
+        """The scalar argument ||P mu|| / (sigma sqrt(1 - rho)); scale-free, so
+        mu and sigma beyond 2^+-400 are first scaled by one power of two."""
+        mu, sigma = self.mu, self.sigma
+        _, e = math.frexp(max(float(np.max(np.abs(mu))), sigma))
+        if abs(e) > 400:
+            mu, sigma = np.ldexp(mu, -e), math.ldexp(sigma, -e)
+        pmu = mu - mu.mean()
+        return float(np.linalg.norm(pmu)) / (sigma * math.sqrt(1.0 - self.rho))
 
     def to_gaussian(self) -> "GaussianModel":
         return GaussianModel(self.mu, self.covariance())

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .moments import HomoscedasticModel, MomentSummary, _f_g, _mean_direction
 from .specfun import varrho
-from .sphere import UnitDirection
+from .sphere import UnitDirection, standardize
 
 __all__ = [
     "OptimizationResult",
@@ -104,11 +104,8 @@ def min_variance(cov_chi) -> OptimizationResult:
     value = float(w[1])
     lo, hi = next(g for g in tie_groups(w, fro) if g[0] <= 1 < g[1])
     multiplicity = hi - max(lo, 1)
-    vec = v[:, 1].copy()
-    # Scrub the numerical leakage along the constant vector, then re-unitize.
-    vec -= vec.mean()
-    vec /= float(np.linalg.norm(vec))
-    vec = fix_column_signs(vec[:, None])[:, 0]
+    # standardize scrubs the numerical leakage along the constant vector.
+    vec = fix_column_signs(standardize(v[:, 1]).coords[:, None].copy())[:, 0]
     return OptimizationResult(
         theta_star=UnitDirection(vec), value=value, multiplicity=multiplicity
     )

@@ -35,7 +35,8 @@ UNIT_TOL = 1e-12
 
 # Relative floor below which a centered vector counts as zero.
 DEGENERACY_REL = 1e-12
-DEGENERACY_ABS = 1e-300
+# standardize_rows scales a row whose sum of squares is outside this range.
+_SUMSQ_LOW, _SUMSQ_HIGH = 2.0 ** -960, 2.0 ** 960
 
 # Values per block of standardize_rows: a block and its squares stay in
 # L2 cache while each step runs over them.
@@ -94,25 +95,17 @@ def centering_matrix(n: int) -> np.ndarray:
 
 
 def standardize(z) -> UnitDirection:
-    """Map z to its centered unit direction.
+    """Map z to its centered unit direction: standardize_rows on one row.
 
     Raises DegenerateInputError when z is (numerically) constant, i.e.
-    the centered part is below 1e-12 of the input scale.
+    the centered part is below 1e-12 of the input's norm.
     """
-    arr = _as_vector(z)
-    c = arr - arr.mean()
-    r = float(np.linalg.norm(c))
-    floor = max(DEGENERACY_REL * float(np.linalg.norm(arr)), DEGENERACY_ABS)
-    if r <= floor:
+    units, kept = standardize_rows(_as_vector(z)[None])
+    if not kept[0]:
         raise DegenerateInputError(
             "input is constant across components; its direction is undefined"
         )
-    u = c / r
-    # A second centering pass scrubs the O(eps * scale / r) residual sum
-    # that the first pass leaves when the input is nearly constant.
-    u -= u.mean()
-    u /= float(np.linalg.norm(u))
-    return UnitDirection(u)
+    return UnitDirection(units[0])
 
 
 def _row_sums(t: np.ndarray) -> np.ndarray:
@@ -169,6 +162,9 @@ def standardize_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     output bit equals that of the same steps written as whole-matrix
     numpy calls on a C-ordered copy. The bits depend on the values only,
     not on the block size or on the memory layout.
+    A row whose sum of squares is out of range is first multiplied by an
+    exact power of two, 2^-e with 2^e above its largest |entry|, so no bit
+    depends on the row's scale and the relative floor alone decides.
     """
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2:
@@ -182,29 +178,37 @@ def standardize_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     block = np.empty((n, min(step, m)))
     squares = np.empty_like(block)
     done = 0
-    for lo in range(0, m, step):
-        b = min(step, m - lo)
-        t, sq = block[:, :b], squares[:, :b]
-        np.copyto(t, arr[lo:lo + b].T)
-        if not np.isfinite(t).all():
-            raise DomainError("matrix has non-finite entries")
-        np.multiply(t, t, out=sq)
-        floor = np.maximum(DEGENERACY_REL * np.sqrt(_row_sums(sq)), DEGENERACY_ABS)
-        t -= _row_sums(t) / n
-        np.multiply(t, t, out=sq)
-        r = np.sqrt(_row_sums(sq))
-        keep = np.greater(r, floor, out=kept[lo:lo + b])
-        if not keep.all():
-            t, r = t[:, keep], r[keep]
-            sq = sq[:, :r.size]
-        # A second centering pass scrubs the O(eps * scale / r) residual
-        # sum that the first pass leaves when the input is nearly constant.
-        t /= r
-        t -= _row_sums(t) / n
-        np.multiply(t, t, out=sq)
-        t /= np.sqrt(_row_sums(sq))
-        units[done:done + r.size] = t.T
-        done += r.size
+    # A square past the float range is inf, which marks its row for scaling.
+    with np.errstate(over="ignore"):
+        for lo in range(0, m, step):
+            b = min(step, m - lo)
+            t, sq = block[:, :b], squares[:, :b]
+            np.copyto(t, arr[lo:lo + b].T)
+            if not np.isfinite(t).all():
+                raise DomainError("matrix has non-finite entries")
+            np.multiply(t, t, out=sq)
+            sumsq = _row_sums(sq)
+            far = (sumsq < _SUMSQ_LOW) | (sumsq > _SUMSQ_HIGH)
+            if far.any():
+                _, e = np.frexp(np.abs(t[:, far]).max(axis=0))
+                t[:, far] = scaled = np.ldexp(t[:, far], -e)
+                sumsq[far] = _row_sums(scaled * scaled)
+            floor = DEGENERACY_REL * np.sqrt(sumsq)
+            t -= _row_sums(t) / n
+            np.multiply(t, t, out=sq)
+            r = np.sqrt(_row_sums(sq))
+            keep = np.greater(r, floor, out=kept[lo:lo + b])
+            if not keep.all():
+                t, r = t[:, keep], r[keep]
+                sq = sq[:, :r.size]
+            # A second centering pass scrubs the O(eps * scale / r) residual
+            # sum that the first pass leaves when the input is nearly constant.
+            t /= r
+            t -= _row_sums(t) / n
+            np.multiply(t, t, out=sq)
+            t /= np.sqrt(_row_sums(sq))
+            units[done:done + r.size] = t.T
+            done += r.size
     units.resize((done, n), refcheck=False)
     return units, kept
 

@@ -1,10 +1,18 @@
-"""Shared synthetic-panel builders for the empirical and CLI tests."""
+"""Shared synthetic-panel builders for the empirical and CLI tests, and
+the exactly scalable inputs of the scale-invariance tests."""
 
 import csv
 import datetime
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+# Entries whose products with 2^k, k in [-1000, 1000], are normal floats,
+# so that scaling them by 2^k is exact.
+exact_entries = st.one_of(st.just(0.0), st.floats(2.0 ** -20, 2.0 ** 20),
+                          st.floats(-(2.0 ** 20), -(2.0 ** -20)))
+even_exponents = st.integers(-500, 500).map(lambda h: 2 * h)
 
 
 def business_days(start: datetime.date, count: int) -> list[datetime.date]:

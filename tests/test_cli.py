@@ -104,6 +104,24 @@ class TestMoments:
         align = float(res.theta_star.coords @ np.array(payload["summary"]["md"]))
         assert abs(abs(align) - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+    def test_scale_free(self, scale, capsys):
+        # README's example with mu and sigma scaled together: the squares
+        # of the scaled mean overflow or underflow, the directions do not.
+        def moments_payload(c):
+            mu = ",".join(repr(c * v) for v in (0.003, -0.001, 0.002, 0.0))
+            code, out, err = run(["moments", "--mu", mu, "--sigma", repr(c * 0.02),
+                                  "--rho", "0.12", "--theta", "1,0,0,0"], capsys)
+            assert code == 0, err
+            payload = json.loads(out)
+            return np.array([payload["concentration"], payload["expectation"],
+                             payload["variance"], payload["summary"]["mrl"],
+                             *payload["summary"]["md"],
+                             *np.ravel(payload["summary"]["cov_chi"])])
+
+        assert moments_payload(scale) == pytest.approx(moments_payload(1.0),
+                                                       rel=0.0, abs=1e-15)
+
     def test_constant_mean_is_degenerate(self, capsys):
         code, _, err = run(
             ["moments", "--mu", "1,1,1", "--sigma", "1.0", "--rho", "0.0"],
@@ -247,6 +265,24 @@ class TestSimulateMrlCheck:
         assert read_json(out_dir / "manifest.json")["seed"] == 9
 
 
+    @pytest.mark.parametrize("cov", [
+        1e-10 * (0.5 * np.eye(4) + 0.5),
+        0.00002 * np.eye(4) + 0.99998,
+    ], ids=["sigma-rounds-to-0", "rho-rounds-to-1"])
+    def test_rounded_statistic_degenerates(self, cov, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"mu": [0.01, 0.0, -0.01, 0.005],
+                                      "cov": cov.tolist()}))
+        code, _, err = run(
+            ["simulate", "mrl-check", "--params", str(params), "--count", "2000",
+             "--output-dir", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 2
+        assert "at 4 decimals" in err
+        assert not (tmp_path / "x").exists()
+
+
 class TestSimulateIcPdf:
     def test_chi_mu_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "pdf"
@@ -275,7 +311,9 @@ class TestSimulateIcPdf:
 
     def test_summary_bytes_frozen(self, tmp_path, capsys):
         # Frozen before the KDE moved to binning: the projections, and so
-        # the summary, must not change with the density estimator.
+        # the summary, must not change with the density estimator. "max"
+        # moved in the last bit when the sample mean direction took
+        # standardize_rows' summation order.
         out_dir = tmp_path / "frozen"
         code, _, _ = run(
             ["simulate", "ic-pdf", "--mode", "sample_md", "--variant", "hetero",
@@ -287,7 +325,7 @@ class TestSimulateIcPdf:
             b'{\n'
             b'  "bandwidth": 0.05009308202554603,\n'
             b'  "count": 5000,\n'
-            b'  "max": 0.8419896022598569,\n'
+            b'  "max": 0.8419896022598568,\n'
             b'  "mean": 0.035934674959632845,\n'
             b'  "min": -0.9124820602362045,\n'
             b'  "mode": "sample_md",\n'
@@ -481,11 +519,11 @@ class TestEmpirical:
 
     @pytest.mark.parametrize("filled,policy,manifest_sha256", [
         (False, "cross_mean",
-         "5ccdeb34c8deaee0df823a0629a7fc39dde64a0dab4e892232700602f874bfd7"),
+         "bd502137a0a89b520b2ad5048220a830ed00a21b8aec3019303018e31cb806d8"),
         (True, "cross_mean",
          "7eb0dab43e34b255236611f22e4ff424f95b424a128f6b4597ef8ef96938c153"),
         (False, "drop_row",
-         "c320d1297eceef72ea291baa70e9fcf1842f8bffac9832a1c1a704f731a8705e"),
+         "27c5f33378f4efe0c372bd3d9b543bb2eff582d9e1d6d42778f11725706f8dc9"),
     ], ids=["holes", "filled", "drop-row"])
     def test_artifact_hashes_frozen(self, filled, policy, manifest_sha256,
                                     tmp_path, monkeypatch, capsys):

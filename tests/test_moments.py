@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from icsphere import moments, specfun, sphere
 from icsphere.errors import (
@@ -17,6 +18,7 @@ from icsphere.errors import (
     ModelError,
     UndefinedMeanDirectionError,
 )
+from tests.conftest import even_exponents, exact_entries
 
 S2 = math.sqrt(0.5)
 
@@ -123,6 +125,22 @@ class TestHomoscedasticModel:
         moments.HomoscedasticModel(mu=mu, sigma=1.0, rho=0.999999)
         with pytest.raises(ModelError):
             moments.HomoscedasticModel(mu=mu, sigma=0.0, rho=0.1)
+
+    @given(arrays(np.float64, st.integers(2, 12), elements=exact_entries),
+           st.floats(2.0 ** -20, 2.0 ** 20), st.floats(-0.05, 0.95), even_exponents)
+    @settings(max_examples=200, deadline=None)
+    def test_scale_free_at_any_power_of_two(self, mu, sigma, rho, k):
+        def bits(scale):
+            model = moments.HomoscedasticModel(
+                mu=np.ldexp(mu, scale), sigma=math.ldexp(sigma, scale), rho=rho)
+            try:
+                s = moments.md_mrl_homoscedastic(model)
+            except UndefinedMeanDirectionError:
+                return model.concentration().hex(), None
+            return (model.concentration().hex(), s.md.coords.tobytes(),
+                    s.mrl.hex(), s.cov_chi.tobytes())
+
+        assert bits(k) == bits(0)
 
     def test_to_gaussian_roundtrip(self):
         m = moments.HomoscedasticModel(

@@ -966,9 +966,11 @@ class TestTraceHooks:
             mc.ic_distribution(model, "sample_md", count, mc.SeededStream(seed=4))
         assert spans.unwrapped_problems(sites) == []
         names = [s.name for s in tracer.spans]
-        assert names.count("sphere.standardize_rows") == 3
+        # One span per shard, and a one-row span for the sample mean
+        # direction, which standardize takes from standardize_rows.
+        assert names.count("sphere.standardize_rows") == 4
         metrics = spans.layer_metrics(tracer)
-        assert metrics["sphere.rows_in"] == count
+        assert metrics["sphere.rows_in"] == count + 1
 
     def test_empirical_standardizes_each_row_once(self, tmp_path, capsys):
         t = 300  # straddles a new year, so two yearly windows and full
@@ -989,6 +991,7 @@ class TestTraceHooks:
         assert names.count("empirical.standardize_panel") == 1
         assert names.count("empirical.rolling") == 1
         metrics = spans.layer_metrics(tracer)
-        assert metrics["sphere.rows_in"] == t
+        # The panel's rows, and one row for each window's mean direction.
+        assert metrics["sphere.rows_in"] == t + 3
         assert metrics["sphere.rows_dropped"] == 1
         assert "3 windows, 1 degenerate rows" in capsys.readouterr().out

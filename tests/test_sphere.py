@@ -17,6 +17,7 @@ from icsphere.errors import (
     DomainError,
     ModelError,
 )
+from tests.conftest import even_exponents, exact_entries
 
 RNG = np.random.default_rng(20240811)
 
@@ -97,7 +98,7 @@ class TestCenterAndStandardize:
         assert kept.all()
         for i in range(40):
             one = sphere.standardize(m[i])
-            assert np.max(np.abs(units[i] - one.coords)) < 1e-14
+            assert np.array_equal(units[i].view(np.int64), one.coords.view(np.int64))
 
     def test_standardize_rows_drops_degenerate(self):
         m = np.vstack([np.ones(5), RNG.standard_normal(5), 2.0 * np.ones(5)])
@@ -109,12 +110,17 @@ class TestCenterAndStandardize:
 def standardize_rows_reference(rows):
     """standardize_rows as whole-matrix numpy calls on a C-ordered copy,
     the formula the blocked kernel must reproduce bit for bit."""
-    arr = np.ascontiguousarray(rows, dtype=np.float64)
+    arr = np.array(rows, dtype=np.float64, order="C")
+    # A row whose sum of squares is out of range is scaled so that its
+    # largest |entry| lies in [1/2, 1).
+    with np.errstate(over="ignore"):
+        sumsq = np.add.reduce(arr * arr, axis=1)
+    far = (sumsq < 2.0 ** -960) | (sumsq > 2.0 ** 960)
+    _, e = np.frexp(np.abs(arr[far]).max(axis=1))
+    arr[far] = np.ldexp(arr[far], -e[:, None])
     c = arr - arr.mean(axis=1, keepdims=True)
     r = np.linalg.norm(c, axis=1)
-    floor = np.maximum(sphere.DEGENERACY_REL * np.linalg.norm(arr, axis=1),
-                       sphere.DEGENERACY_ABS)
-    kept = r > floor
+    kept = r > sphere.DEGENERACY_REL * np.linalg.norm(arr, axis=1)
     u = c[kept] / r[kept, None]
     u -= u.mean(axis=1, keepdims=True)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -134,6 +140,34 @@ def assert_same_bits(got, ref):
     assert units.flags.c_contiguous
     # Compared as bit patterns, so that the sign of a zero counts too.
     assert np.array_equal(units.view(np.int64), ref_units.view(np.int64))
+
+
+class TestScaleInvariance:
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 12)),
+                  elements=exact_entries),
+           even_exponents)
+    @settings(max_examples=300, deadline=None)
+    def test_rows_keep_every_bit_at_any_power_of_two(self, z, k):
+        assert_same_bits(sphere.standardize_rows(np.ldexp(z, k)),
+                         sphere.standardize_rows(z))
+
+    def test_overflowing_mean(self):
+        u = sphere.standardize([1.5e308, 1.5e308, -1.5e308])
+        assert u.coords == pytest.approx(np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0),
+                                         abs=1e-15)
+
+    def test_subnormal_row_has_a_direction(self):
+        u = sphere.standardize([5e-324, 0.0, 0.0])
+        want = sphere.standardize([1.0, 0.0, 0.0])
+        assert np.array_equal(u.coords.view(np.int64), want.coords.view(np.int64))
+
+    @pytest.mark.parametrize("z", [[1e-310] * 3, [5e-324] * 4, [0.0, 0.0, 0.0],
+                                   [-0.0, -0.0]])
+    def test_subnormal_constant_and_zero_rows_stay_degenerate(self, z):
+        with pytest.raises(DegenerateInputError):
+            sphere.standardize(z)
+        units, kept = sphere.standardize_rows([z])
+        assert units.shape == (0, len(z)) and not kept.any()
 
 
 class TestRowSums:
