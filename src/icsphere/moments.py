@@ -73,7 +73,10 @@ class HomoscedasticModel:
 
     def covariance(self) -> np.ndarray:
         n = self.n
-        s2 = self.sigma ** 2
+        # sigma ** 2 overflows from sigma = 2^512 on.
+        s2 = self.sigma ** 2 if self.sigma < 2.0 ** 512 else math.inf
+        if not 2.0 ** -1022 <= s2 < math.inf:
+            raise ModelError(f"sigma^2 is not a normal float: sigma = {self.sigma!r}")
         return s2 * ((1.0 - self.rho) * np.eye(n) + self.rho * np.ones((n, n)))
 
     def concentration(self) -> float:

@@ -140,34 +140,40 @@ class _NormalSource:
     """
 
     def __init__(self, stream: SeededStream):
+        size = _BLOCK_ATTEMPTS
+        # Attempt k of a block is 2k counters past the block's first.
+        self._ramp = np.arange(size, dtype=np.uint64) * np.uint64(2 * _GAMMA & _MASK64)
+        self._bufs = [np.empty(size, np.uint64), np.empty(size, np.uint64),
+                      np.empty(size), np.empty(size), np.empty(size)]
+        self.restart(stream)
+
+    def restart(self, stream: SeededStream) -> None:
+        """Start over at the head of stream, keeping the block buffers."""
         self._key = stream.key()
         self._attempts = 0
         self._cached: float | None = None
 
-    def take(self, count: int) -> np.ndarray:
+    def take(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next count normals, in out[:count] if given (count + 1 slots)."""
         pos = 1 if self._cached is not None and count > 0 else 0
-        pairs = (count - pos + 1) // 2
-        out = np.empty(pos + 2 * pairs)
+        size = pos + 2 * ((count - pos + 1) // 2)
+        out = np.empty(size) if out is None else out[:size]
         if pos:
             out[0] = self._cached
             self._cached = None
-        # Polar acceptance is pi/4; 1.35 overshoots slightly.
-        size = min(_BLOCK_ATTEMPTS, int(pairs * 1.35) + 16)
-        # Attempt k of a block is 2k counters past the block's first.
-        ramp = np.arange(size, dtype=np.uint64) * np.uint64(2 * _GAMMA & _MASK64)
-        bufs = [np.empty(size, np.uint64), np.empty(size, np.uint64),
-                np.empty(size), np.empty(size), np.empty(size)]
         while pos < out.size:
             remaining = (out.size - pos) // 2
-            block = min(size, int(remaining * 1.35) + 16)
-            raw, scratch, a, b, s = (buf[:block] for buf in bufs)
+            # Polar acceptance is pi/4; 1.35 overshoots slightly.
+            block = min(_BLOCK_ATTEMPTS, int(remaining * 1.35) + 16)
+            raw, scratch, a, b, s = (buf[:block] for buf in self._bufs)
             first = 2 * self._attempts + 1  # uniform i has counter i + 1
             for u, counter in ((a, first), (b, first + 1)):
                 offset = np.uint64((self._key + counter * _GAMMA) & _MASK64)
-                np.add(ramp[:block], offset, out=raw)
+                np.add(self._ramp[:block], offset, out=raw)
                 _mix64_inplace(raw, scratch)
                 raw >>= _U11
-                np.multiply(raw, _INV_2_52, out=u)
+                # Below 2^53, so int64 converts exactly, and faster.
+                np.multiply(raw.view(np.int64), _INV_2_52, out=u)
                 u -= 1.0
             np.multiply(a, a, out=s)
             s += b * b
@@ -229,30 +235,43 @@ def _map_shards(fn, n: int, count: int, stream: SeededStream,
     when fn asks for it. The last block takes the remainder, so no block
     is shorter than step rows unless the shard is. A short tail product
     can change the draws' bits: a 1-row one takes BLAS's gemv path, and
-    an 8-row one changed all 8 rows at n = 50.
+    an 8-row one changed all 8 rows at n = 50. Blocks are views of one
+    normals buffer per call, which the next block overwrites: a blocked
+    fn must not keep g.
     """
     out = []
+    step = _block_rows(n) if blocked else SHARD_ROWS
+    # The spare slot holds an odd take's cached variate.
+    buf = np.empty(_largest_block(n, count) * n + 1) if blocked else None
+    source = _NormalSource(stream)
     for i, start in enumerate(range(0, count, SHARD_ROWS)):
         rows = min(SHARD_ROWS, count - start)
-        source = _NormalSource(stream.shifted(i))
-        step = _block_rows(n) if blocked else rows
+        source.restart(stream.shifted(i))
         k = max(rows // step, 1)
         sizes = [step] * (k - 1) + [rows - (k - 1) * step]
-        blocks = (source.take(b * n).reshape(b, n) for b in sizes)
+        blocks = (source.take(b * n, buf).reshape(b, n) for b in sizes)
         out.append(fn(blocks if blocked else next(blocks)))
     return out
 
 
-def _draws(model: GaussianModel, g: np.ndarray) -> np.ndarray:
-    """The draws g L^T + mu, with mu added in place."""
-    y = g @ model.chol.T
+def _largest_block(n: int, count: int) -> int:
+    """Rows of the largest block that _map_shards(blocked=True) draws."""
+    step = _block_rows(n)
+    return max(r - (max(r // step, 1) - 1) * step
+               for r in (min(count, SHARD_ROWS), count % SHARD_ROWS))
+
+
+def _draws(model: GaussianModel, g: np.ndarray, out=None) -> np.ndarray:
+    """The draws g L^T + mu, with mu added in place; into out if given."""
+    y = np.matmul(g, model.chol.T, out=out)
     y += model.mu
     return y
 
 
-def _directions(model: GaussianModel, g: np.ndarray) -> np.ndarray:
-    """Directions of the draws g L^T + mu; degenerate rows are dropped."""
-    units, _ = standardize_rows(_draws(model, g))
+def _directions(model: GaussianModel, g: np.ndarray, out=None) -> np.ndarray:
+    """Directions of the draws g L^T + mu; degenerate rows are dropped.
+    With out (g's shape), the draws and then the directions go there."""
+    units, _ = standardize_rows(_draws(model, g, out), out=out)
     return units
 
 
@@ -260,15 +279,18 @@ def _resultant(model: GaussianModel, count: int,
                stream: SeededStream) -> tuple[np.ndarray, int]:
     """Sum of the kept directions of count draws, and how many were kept.
 
-    Each shard streams in row blocks. A block's sum carries the sum of
-    the blocks before it, added into its first row, so the shard's rows
-    are added in order, as units.sum(axis=0) adds a whole shard.
+    Each shard streams in row blocks through one workspace per call. A
+    block's sum carries the sum of the blocks before it, added into its
+    first row, so the shard's rows are added in order, as
+    units.sum(axis=0) adds a whole shard.
     """
+    work = np.empty(_largest_block(model.n, count) * model.n)
+
     def shard_sum(blocks):
         vec = np.zeros(model.n)
         kept = 0
         for g in blocks:
-            units = _directions(model, g)
+            units = _directions(model, g, work[:g.size].reshape(g.shape))
             if units.shape[0] == 0:
                 continue
             if kept:

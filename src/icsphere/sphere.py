@@ -145,7 +145,7 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
     return _row_sums(t[:half]) + _row_sums(t[half:])
 
 
-def standardize_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+def standardize_rows(rows, *, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized standardize over the rows of a matrix.
 
     Returns (units, kept) where kept is a boolean mask over input rows
@@ -165,6 +165,9 @@ def standardize_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     A row whose sum of squares is out of range is first multiplied by an
     exact power of two, 2^-e with 2^e above its largest |entry|, so no bit
     depends on the row's scale and the relative floor alone decides.
+    With out, an array of the rows' shape, the units are written into it
+    and returned as out[:kept_count]. out may be the rows array itself:
+    a block is copied out before any unit lands on its rows.
     """
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2:
@@ -173,7 +176,7 @@ def standardize_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         raise DimensionError("rows need at least 2 components")
     step = max(_ROW_BLOCK_VALUES // n, 1)
-    units = np.empty((m, n))
+    units = np.empty((m, n)) if out is None else out
     kept = np.empty(m, dtype=bool)
     block = np.empty((n, min(step, m)))
     squares = np.empty_like(block)
@@ -209,6 +212,8 @@ def standardize_rows(rows) -> tuple[np.ndarray, np.ndarray]:
             t /= np.sqrt(_row_sums(sq))
             units[done:done + r.size] = t.T
             done += r.size
+    if out is not None:
+        return out[:done], kept
     units.resize((done, n), refcheck=False)
     return units, kept
 

@@ -142,6 +142,24 @@ class TestHomoscedasticModel:
 
         assert bits(k) == bits(0)
 
+    @pytest.mark.parametrize("sigma", [2e158, 2.0 ** 512, 2e-162, 2.0 ** -512],
+                             ids=["overflow", "first_overflow", "subnormal",
+                                  "first_subnormal"])
+    def test_covariance_needs_a_normal_variance(self, sigma):
+        # sigma ** 2 overflowed to a bare OverflowError, or rounded to a
+        # subnormal covariance that GaussianModel accepted.
+        model = moments.HomoscedasticModel(
+            mu=np.array([3.0, -1.0, 2.0, 0.0]) * sigma, sigma=sigma, rho=0.1)
+        with pytest.raises(ModelError, match="normal float"):
+            model.covariance()
+        with pytest.raises(ModelError, match="normal float"):
+            model.to_gaussian()
+
+    @pytest.mark.parametrize("sigma", [2.0 ** 511.5, 2.0 ** -511])
+    def test_covariance_at_the_normal_range_ends(self, sigma):
+        model = moments.HomoscedasticModel(mu=np.zeros(3), sigma=sigma, rho=0.1)
+        assert model.covariance()[0, 0] == sigma ** 2
+
     def test_to_gaussian_roundtrip(self):
         m = moments.HomoscedasticModel(
             mu=np.array([0.1, 0.2, 0.3]), sigma=1.1, rho=0.25

@@ -245,6 +245,25 @@ class TestStandardizeRowsBlocks:
                      strided[::2, ::2], strided_fortran[::2, ::2]):
             assert_same_bits(sphere.standardize_rows(rows), want)
 
+    @pytest.mark.parametrize("block_values", [20, 1000])
+    def test_out_buffer_gives_same_bits(self, monkeypatch, block_values):
+        monkeypatch.setattr(sphere, "_ROW_BLOCK_VALUES", block_values)
+        x = self.with_degenerate_rows(10, max(block_values // 10, 1), seed=4)
+        x[1] = np.ldexp(x[1], 700)  # rows scaled by a power of two
+        x[3] = np.ldexp(x[3], -700)
+        x[-2] = 1e308
+        want = sphere.standardize_rows(x)
+        assert not want[1].all()
+        buf = np.full_like(x, np.nan)
+        got = sphere.standardize_rows(x, out=buf)
+        assert_same_bits(got, want)
+        assert got[0].base is buf
+        # The rows' own array can take the units.
+        rows = x.copy()
+        got = sphere.standardize_rows(rows, out=rows)
+        assert_same_bits(got, want)
+        assert got[0].base is rows
+
     def test_no_rows(self):
         units, kept = sphere.standardize_rows(np.empty((0, 4)))
         assert units.shape == (0, 4) and kept.shape == (0,)
