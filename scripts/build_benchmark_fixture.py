@@ -43,7 +43,8 @@ def full_symmetric(upper_rows):
     return full
 
 
-def main():
+def fixture_text() -> str:
+    """The bundled fixture's JSON text, byte for byte."""
     sigma10 = full_symmetric(SIGMA10_UPPER_BP)
     mu10 = [v * SCALE for v in MU10_BP]
     payload = {
@@ -57,10 +58,14 @@ def main():
         "mu3": mu10[:3],
         "sigma3": [row[:3] for row in sigma10[:3]],
     }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def main():
     out_dir = Path(__file__).resolve().parent.parent / "src" / "icsphere" / "fixtures"
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "benchmark_params.json"
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = fixture_text()
     target.write_text(text)
     digest = hashlib.sha256(text.encode()).hexdigest()
     (out_dir / "benchmark_params.sha256").write_text(digest + "\n")

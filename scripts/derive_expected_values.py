@@ -10,7 +10,9 @@ Run from the repository root:
     python scripts/derive_expected_values.py
 """
 
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -84,26 +86,14 @@ def mc_mrl_mu10(params, count: int, seed: int):
     return float(np.linalg.norm(acc / count))
 
 
-MU10 = [4.60e-4, 7.83e-4, 14.78e-4, -16.32e-4, 4.50e-4, 10.26e-4, -3.22e-4, 0.39e-4, -3.99e-4, -4.41e-4]
-SIGMA10_UPPER = [
-    [3.67, 2.26, 0.98, 0.75, 1.54, 0.72, 0.16, 1.48, -0.05, -0.08],
-    [2.26, 6.60, 0.96, 1.31, 1.57, 1.01, 0.11, 1.16, -0.32, -0.04],
-    [0.98, 0.96, 5.72, 1.29, 0.97, 1.60, -0.20, 0.41, -0.38, 0.19],
-    [0.75, 1.31, 1.29, 4.74, 1.69, 0.96, 0.06, 0.35, 0.41, 0.19],
-    [1.54, 1.57, 0.97, 1.69, 5.11, 0.97, -0.04, 0.72, -0.11, -0.06],
-    [0.72, 1.01, 1.60, 0.96, 0.97, 11.86, 0.20, 0.01, 0.81, 0.59],
-    [0.16, 0.11, -0.20, 0.06, -0.04, 0.20, 1.47, 0.07, 0.50, 0.23],
-    [1.48, 1.16, 0.41, 0.35, 0.72, 0.01, 0.07, 1.32, -0.12, -0.01],
-    [-0.05, -0.32, -0.38, 0.41, -0.11, 0.81, 0.50, -0.12, 6.10, 0.64],
-    [-0.08, -0.04, 0.19, 0.19, -0.06, 0.59, 0.23, -0.01, 0.64, 3.77],
-]
+# The bundled fixture, read as plain JSON: the one copy of the benchmark
+# parameters.
+PARAMS_PATH = (Path(__file__).resolve().parent.parent
+               / "src" / "icsphere" / "fixtures" / "benchmark_params.json")
 
 
 def main() -> None:
-    params = {
-        "mu10": MU10,
-        "sigma10": (np.array(SIGMA10_UPPER) * 1e-4).tolist(),
-    }
+    params = json.loads(PARAMS_PATH.read_text())
 
     print("== erf identities (stdlib math) ==")
     print(f"varrho_1(1.0) = erf(1/sqrt(2))      = {math.erf(1 / math.sqrt(2)):.16f}")
@@ -117,7 +107,7 @@ def main() -> None:
     print(f"M(1/2, 11/2, -0.1288^2/2) = {mpmath.nstr(mpmath.hyp1f1(0.5, 5.5, -0.1288**2 / 2), 17)}")
     print(f"M(1, 2, 1) = e - 1 = {mpmath.nstr(mpmath.hyp1f1(1, 2, 1), 17)}")
 
-    print("\n== large arguments, either side of x = 40 ==")
+    print("\n== large arguments (test_specfun's *_LARGE_REF) ==")
     for n, x in [(5, 39.999), (5, 40.0), (5, 50.0)]:
         print(f"varrho_{n}({x}) = {mpmath.nstr(varrho_ref(n, x), 17)}   "
               f"f_{n}({x}) = {mpmath.nstr(f_ref(n, x), 17)}   g_{n}({x}) = {mpmath.nstr(g_ref(n, x), 17)}")

@@ -188,16 +188,8 @@ def _cmd_moments(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 
-def _load_params(arg: str | None) -> dict:
-    if arg is None:
-        return fixtures.load_params()
-    if arg.startswith("@"):
-        return fixtures.load_params(arg[1:])
-    return fixtures.load_params(arg)
-
-
 def _cmd_simulate_ic_pdf(args) -> int:
-    params = _load_params(args.params)
+    params = fixtures.load_params(args.params and args.params.removeprefix("@"))
     which = "ten_hetero" if args.variant == "hetero" else "ten_base"
     mu, cov = fixtures.model_params(params, which)
     model = moments.GaussianModel(mu, cov)
@@ -228,7 +220,7 @@ def _cmd_simulate_ic_pdf(args) -> int:
 
 
 def _cmd_simulate_md_perturb(args) -> int:
-    params = _load_params(args.params)
+    params = fixtures.load_params(args.params and args.params.removeprefix("@"))
     mu, cov = fixtures.model_params(params, "three")
     try:
         factors = [float(f) for f in args.factors.split(",") if f.strip() != ""]
@@ -255,7 +247,7 @@ def _cmd_simulate_md_perturb(args) -> int:
 
 
 def _cmd_simulate_mrl_check(args) -> int:
-    params = _load_params(args.params)
+    params = fixtures.load_params(args.params and args.params.removeprefix("@"))
     mu, cov = fixtures.model_params(params, "ten_base")
     model = moments.GaussianModel(mu, cov)
     n = model.n

@@ -170,28 +170,35 @@ class MomentSummary:
         )
 
 
-def two_dim_exact(p_greater: float) -> MomentSummary:
-    """Two-asset moments from the single probability P{Z_1 > Z_2}.
-
-    Distribution-free: with two assets the direction lives on a two
-    point support, so one probability pins everything down.
-    """
-    if not (0.0 <= p_greater <= 1.0):
-        raise DomainError(f"probability must lie in [0, 1], got {p_greater!r}")
-    mrl = 2.0 * abs(p_greater - 0.5)
+def _two_point(side: float, mrl: float, var: float) -> MomentSummary:
+    """Two-asset moments: chi(Z) is +-(1, -1)/sqrt 2, its mean direction
+    the one of the sign of side, and var = 1 - mrl^2 along it."""
     if mrl == 0.0:
         raise UndefinedMeanDirectionError(
             "P{Z_1 > Z_2} = 1/2 leaves no mean direction", mrl=0.0
         )
-    sign = 1.0 if p_greater > 0.5 else -1.0
+    sign = 1.0 if side > 0.0 else -1.0
     v = np.array([sign * _SQRT_HALF, -sign * _SQRT_HALF])
-    cov = (1.0 - mrl ** 2) * np.outer(v, v)
-    return MomentSummary(md=UnitDirection(v), mrl=mrl, cov_chi=cov)
+    return MomentSummary(md=UnitDirection(v), mrl=mrl, cov_chi=var * np.outer(v, v))
+
+
+def two_dim_exact(p_greater: float) -> MomentSummary:
+    """Two-asset moments from the single probability P{Z_1 > Z_2}.
+
+    Distribution-free: with two assets the direction lives on a two
+    point support, so one probability pins everything down. 1 - mrl^2 is
+    formed as 4p(1 - p), which keeps its digits as p nears 0 or 1.
+    """
+    if not (0.0 <= p_greater <= 1.0):
+        raise DomainError(f"probability must lie in [0, 1], got {p_greater!r}")
+    return _two_point(p_greater - 0.5, 2.0 * abs(p_greater - 0.5),
+                      4.0 * p_greater * (1.0 - p_greater))
 
 
 def two_dim_normal(mu1: float, mu2: float, sigma1: float, sigma2: float,
                    rho12: float) -> MomentSummary:
-    """Two-asset Gaussian moments via the normal orthant probability."""
+    """Two-asset Gaussian moments at d = (mu1 - mu2) / sd(Z_1 - Z_2):
+    mrl = erf(|d|/sqrt 2), and 1 - mrl^2 from _f_g's erfc rule."""
     if not (sigma1 > 0.0 and sigma2 > 0.0):
         raise ModelError("standard deviations must be positive")
     if not (-1.0 < rho12 < 1.0):
@@ -200,8 +207,7 @@ def two_dim_normal(mu1: float, mu2: float, sigma1: float, sigma2: float,
     if not (spread_var > 0.0):
         raise ModelError("Z_1 - Z_2 has no variance; direction is degenerate")
     d = (mu1 - mu2) / math.sqrt(spread_var)
-    p_greater = 0.5 * (1.0 + math.erf(d * _SQRT_HALF))
-    return two_dim_exact(p_greater)
+    return _two_point(d, math.erf(abs(d) * _SQRT_HALF), _f_g(2, abs(d))[0])
 
 
 def _mean_direction(mu: np.ndarray) -> UnitDirection:

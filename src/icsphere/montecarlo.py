@@ -224,41 +224,20 @@ def _block_rows(n: int) -> int:
     return 1 << ((_SHARD_BLOCK_VALUES // n).bit_length() - 1)
 
 
-def _map_shards(fn, n: int, count: int, stream: SeededStream,
-                blocked: bool = False) -> list:
-    """fn of each shard's standard normals, in shard order.
-
-    Shard i draws from stream.shifted(i), so the results do not depend
-    on how the shards are batched. fn takes the shard's (rows, n)
-    normals whole, or with blocked=True an iterator over them in
-    max(rows // step, 1) row blocks, step = _block_rows(n), each drawn
-    when fn asks for it. The last block takes the remainder, so no block
-    is shorter than step rows unless the shard is. A short tail product
-    can change the draws' bits: a 1-row one takes BLAS's gemv path, and
-    an 8-row one changed all 8 rows at n = 50. Blocks are views of one
-    normals buffer per call, which the next block overwrites: a blocked
-    fn must not keep g.
-    """
-    out = []
-    step = _block_rows(n) if blocked else SHARD_ROWS
-    # The spare slot holds an odd take's cached variate.
-    buf = np.empty(_largest_block(n, count) * n + 1) if blocked else None
+def _shard_sources(count: int, stream: SeededStream):
+    """(source, rows) for each shard in order, one _NormalSource per call:
+    shard i draws from stream.shifted(i), so the results do not depend
+    on how the shards are batched."""
     source = _NormalSource(stream)
     for i, start in enumerate(range(0, count, SHARD_ROWS)):
-        rows = min(SHARD_ROWS, count - start)
         source.restart(stream.shifted(i))
-        k = max(rows // step, 1)
-        sizes = [step] * (k - 1) + [rows - (k - 1) * step]
-        blocks = (source.take(b * n, buf).reshape(b, n) for b in sizes)
-        out.append(fn(blocks if blocked else next(blocks)))
-    return out
+        yield source, min(SHARD_ROWS, count - start)
 
 
-def _largest_block(n: int, count: int) -> int:
-    """Rows of the largest block that _map_shards(blocked=True) draws."""
-    step = _block_rows(n)
-    return max(r - (max(r // step, 1) - 1) * step
-               for r in (min(count, SHARD_ROWS), count % SHARD_ROWS))
+def _map_shards(fn, n: int, count: int, stream: SeededStream) -> list:
+    """fn of each shard's (rows, n) standard normals, in shard order."""
+    return [fn(source.take(rows * n).reshape(rows, n))
+            for source, rows in _shard_sources(count, stream)]
 
 
 def _draws(model: GaussianModel, g: np.ndarray, out=None) -> np.ndarray:
@@ -279,31 +258,43 @@ def _resultant(model: GaussianModel, count: int,
                stream: SeededStream) -> tuple[np.ndarray, int]:
     """Sum of the kept directions of count draws, and how many were kept.
 
-    Each shard streams in row blocks through one workspace per call. A
-    block's sum carries the sum of the blocks before it, added into its
-    first row, so the shard's rows are added in order, as
-    units.sum(axis=0) adds a whole shard.
+    Each shard is drawn, transformed, standardized and summed in
+    max(rows // step, 1) row blocks, step = _block_rows(n). The last
+    block takes the remainder, so no block is shorter than step rows
+    unless the shard is. A short tail product can change the draws'
+    bits: a 1-row one takes BLAS's gemv path, and an 8-row one changed
+    all 8 rows at n = 50. Blocks run through one normals buffer and one
+    workspace per call. A block's sum carries the sum of the blocks
+    before it, added into its first row, so the shard's rows are added
+    in order, as units.sum(axis=0) adds a whole shard.
     """
-    work = np.empty(_largest_block(model.n, count) * model.n)
+    n = model.n
+    step = _block_rows(n)
 
-    def shard_sum(blocks):
-        vec = np.zeros(model.n)
-        kept = 0
-        for g in blocks:
+    def sizes(rows):
+        k = max(rows // step, 1)
+        return [step] * (k - 1) + [rows - (k - 1) * step]
+
+    # The largest block ends a full shard or the partial one.
+    largest = max(sizes(min(count, SHARD_ROWS))[-1], sizes(count % SHARD_ROWS)[-1])
+    normals = np.empty(largest * n + 1)  # + 1 for an odd take's cached variate
+    work = np.empty(largest * n)
+    total = np.zeros(n)
+    kept = 0
+    for source, rows in _shard_sources(count, stream):
+        vec = np.zeros(n)
+        shard_kept = 0
+        for b in sizes(rows):
+            g = source.take(b * n, normals).reshape(b, n)
             units = _directions(model, g, work[:g.size].reshape(g.shape))
             if units.shape[0] == 0:
                 continue
-            if kept:
+            if shard_kept:
                 units[0] += vec
             vec = units.sum(axis=0)
-            kept += units.shape[0]
-        return vec, kept
-
-    total = np.zeros(model.n)
-    kept = 0
-    for vec, rows in _map_shards(shard_sum, model.n, count, stream, blocked=True):
+            shard_kept += units.shape[0]
         total += vec
-        kept += rows
+        kept += shard_kept
     return total, kept
 
 
@@ -353,8 +344,9 @@ def sample_chi(model: GaussianModel, count: int,
                stream: SeededStream) -> DirectionalSample:
     """Directions of count draws. Degenerate draws (a probability-zero
     event) are dropped rather than errored."""
-    draws = sample_mvn(model, count, stream)
-    units, _ = standardize_rows(draws)
+    count = _validate_int(count, "count")
+    units = np.concatenate(_map_shards(lambda g: _directions(model, g),
+                                       model.n, count, stream))
     if units.shape[0] == 0:
         raise DegenerateInputError("every draw was constant across components")
     return DirectionalSample(units)
@@ -400,7 +392,7 @@ def estimate_chi_mrl(model: GaussianModel, count: int, stream: SeededStream) -> 
     """Mean resultant length of chi(Z) by streaming accumulation.
 
     Each shard is drawn, transformed, standardized and summed in row
-    blocks of about 2^17 values (_map_shards), so memory is O(block)
+    blocks of about 2^17 values (_resultant), so memory is O(block)
     whatever the count: no draw matrix is held, nor one shard's at
     n <= 192 or at a multiple of 8 up to 8192. At other n, where blocks
     changed the draws' bits, _block_rows keeps whole shards, O(shard).

@@ -59,6 +59,16 @@ class TestTwoDimExact:
         with pytest.raises(DomainError):
             moments.two_dim_exact(1.01)
 
+    @pytest.mark.parametrize("p", [1e-20, 1e-8, 0.25])
+    def test_variance_keeps_its_digits_near_certainty(self, p):
+        # 1 - mrl^2 = 4p(1 - p); forming it from mrl = 1 - 2p lost all of
+        # it at p = 1e-20 and 1.6e-9 of it at p = 1e-8.
+        with mpmath.workdps(50):
+            var = 4 * mpmath.mpf(p) * (1 - mpmath.mpf(p))
+            want = float(var / 2)
+        cov = moments.two_dim_exact(p).cov_chi
+        assert np.abs(cov) == pytest.approx(np.full((2, 2), want), rel=1e-14, abs=0.0)
+
 
 class TestTwoDimNormal:
     def test_frozen_half_sigma_gap(self):
@@ -82,6 +92,20 @@ class TestTwoDimNormal:
     def test_perfect_correlation_rejected(self):
         with pytest.raises(ModelError):
             moments.two_dim_normal(0.3, 0.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("d", [2.0, 5.0, 8.0, 10.0, 20.0, -8.0])
+    def test_far_tail_against_mpmath(self, d):
+        # Z_1 - Z_2 has unit variance, so d is the gap itself. Forming
+        # 1 - mrl^2 from p = (1 + erf(d/sqrt 2)) / 2 lost 7% of the trace
+        # at d = 8 and all of it from d = 9 on.
+        s = moments.two_dim_normal(d, 0.0, 1.0, 1.0, 0.5)
+        with mpmath.workdps(50):
+            x = abs(mpmath.mpf(d)) / mpmath.sqrt(2)
+            e = mpmath.erfc(x)
+            trace, mrl = float(e * (2 - e)), float(mpmath.erf(x))
+        assert np.trace(s.cov_chi) == pytest.approx(trace, rel=1e-13, abs=0.0)
+        assert s.mrl == pytest.approx(mrl, rel=1e-14, abs=0.0)
+        assert s.md.coords == pytest.approx(math.copysign(S2, d) * np.array([1.0, -1.0]))
 
     def test_matches_homoscedastic_path(self):
         sigma, rho = 1.7, 0.35

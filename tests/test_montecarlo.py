@@ -329,6 +329,22 @@ class TestDirectionalSample:
         assert np.array_equal(got.md.coords, want.md.coords)
         assert np.array_equal(mc.estimate_cov(fortran), mc.estimate_cov(c_order))
 
+    @pytest.mark.parametrize("which,count,seed,want", [
+        ("ten_base", 2 * mc.SHARD_ROWS + 777, 71,
+         "eb455c8c6b9a7d4383e234602560efc589c69fbc071c134816f6d3c0141b38b6"),
+        # The partial shard's 34,467 rows at n = 3 take an odd count of
+        # normals, which ends on a cached variate.
+        ("three", 100003, 72,
+         "59471c0f1ae46a7fb0a4d220757080ae5532caa05fe6cf4e7bfd55a86791ebc5"),
+    ], ids=["ten_base", "three"])
+    def test_sample_chi_frozen(self, which, count, seed, want):
+        # Frozen while sample_chi standardized sample_mvn's stacked draws.
+        mu, cov = fixtures.model_params(fixtures.load_params(), which)
+        sample = mc.sample_chi(moments.GaussianModel(mu, cov), count,
+                               mc.SeededStream(seed))
+        assert sample.size == count
+        assert digest(sample.matrix) == want
+
 
 class TestEstimators:
     @staticmethod

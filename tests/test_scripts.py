@@ -1,10 +1,13 @@
-"""The experiment battery script passes only argv that the CLI accepts."""
+"""The scripts keep step with the package: the experiment battery passes
+only argv that the CLI accepts, and the fixture script writes the bundled
+parameter files byte for byte."""
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
 
-from icsphere import cli
+from icsphere import cli, fixtures
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_experiments.py"
 
@@ -32,3 +35,14 @@ def test_run_experiments_argv_parse(monkeypatch, tmp_path):
         args = parser.parse_args(argv)
         assert Path(args.output_dir).parent == tmp_path
     assert (tmp_path / "synthetic_panel.csv").exists()
+
+
+def test_fixture_script_reproduces_bundled_files():
+    path = SCRIPT.parent / "build_benchmark_fixture.py"
+    spec = importlib.util.spec_from_file_location("build_benchmark_fixture", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    text = script.fixture_text().encode()
+    assert text == fixtures.BUNDLED_PARAMS_PATH.read_bytes()
+    sidecar = fixtures.BUNDLED_PARAMS_PATH.with_suffix(".sha256")
+    assert hashlib.sha256(text).hexdigest() + "\n" == sidecar.read_text()
