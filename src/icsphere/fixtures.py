@@ -35,6 +35,9 @@ def load_params(path=None) -> dict:
     or provide just {"mu": [...], "cov": [[...]]}.
     """
     bundled = path is None
+    if path == "":
+        # Path("") is the working directory; name what the user gave.
+        raise MalformedInputError("--params names no file: the path is empty")
     target = BUNDLED_PARAMS_PATH if bundled else Path(path)
     try:
         text = target.read_text()

@@ -35,8 +35,8 @@ from .errors import (
     UndefinedMeanDirectionError,
 )
 from .moments import GaussianModel, MomentSummary, _mean_direction
-from .sphere import (_ROW_BLOCK_VALUES, UNIT_TOL, UnitDirection, _row_sums,
-                     standardize, standardize_rows)
+from .sphere import (_ROW_BLOCK_VALUES, UNIT_TOL, UnitDirection, _column_sums,
+                     _row_sums, standardize, standardize_rows)
 
 __all__ = [
     "SHARD_ROWS",
@@ -265,8 +265,9 @@ def _resultant(model: GaussianModel, count: int,
     bits: a 1-row one takes BLAS's gemv path, and an 8-row one changed
     all 8 rows at n = 50. Blocks run through one normals buffer and one
     workspace per call. A block's sum carries the sum of the blocks
-    before it, added into its first row, so the shard's rows are added
-    in order, as units.sum(axis=0) adds a whole shard.
+    before it, added into its first row, and sphere._column_sums adds
+    the block's rows in order, so the shard's rows are added in order,
+    in the bits of units.sum(axis=0) over the whole shard.
     """
     n = model.n
     step = _block_rows(n)
@@ -291,7 +292,7 @@ def _resultant(model: GaussianModel, count: int,
                 continue
             if shard_kept:
                 units[0] += vec
-            vec = units.sum(axis=0)
+            vec = _column_sums(units)
             shard_kept += units.shape[0]
         total += vec
         kept += shard_kept
@@ -366,8 +367,9 @@ def _sample_mean(total: np.ndarray, kept: int, what: str) -> tuple[np.ndarray, f
 
 
 def estimate_md_mrl(sample: DirectionalSample) -> MomentSummary:
-    """Sample mean direction and mean resultant length."""
-    mean, r = _sample_mean(sample.matrix.sum(axis=0), sample.size,
+    """Sample mean direction and mean resultant length. The resultant
+    adds the rows in order (sphere._column_sums), as the shard sums do."""
+    mean, r = _sample_mean(_column_sums(sample.matrix), sample.size,
                            "mean direction undefined")
     return MomentSummary(md=standardize(mean), mrl=r, cov_chi=None)
 
@@ -427,6 +429,8 @@ def projected_moments_mc(n: int, x: float, count: int,
     Rows are normalized in place, in transposed L2-sized blocks whose
     norms add in numpy's order (sphere._row_sums): every bit is that of
     g / np.linalg.norm(g, axis=1)[:, None]. Rows of norm zero are dropped.
+    A shard's first moment adds its kept rows in order
+    (sphere._column_sums), in the bits of u.sum(axis=0).
     """
     n = _validate_int(n, "n", minimum=None)
     if n < 2:
@@ -448,7 +452,7 @@ def projected_moments_mc(n: int, x: float, count: int,
             t /= r
             g[lo:lo + step] = t.T
         u = g if kept.all() else g[kept]
-        s1, m2 = u.sum(axis=0), u.T @ u
+        s1, m2 = _column_sums(u), u.T @ u
         u *= u
         return s1, m2, u.T @ u, u.shape[0]
 
@@ -590,6 +594,9 @@ def ic_distribution(model: GaussianModel, theta_mode: str, count: int,
     each shard. "sample_md" projects onto the sample mean direction: it
     draws once, holds every shard's kept directions (count * n * 8
     bytes) until their resultant fixes theta, then projects each shard.
+    The resultant adds each shard's directions in row order
+    (sphere._column_sums) and the shard sums in shard order, as
+    _resultant does.
     Returns the density estimate and the raw projections.
     """
     if theta_mode not in ("chi_mu", "sample_md"):
@@ -602,10 +609,9 @@ def ic_distribution(model: GaussianModel, theta_mode: str, count: int,
     else:
         blocks = _map_shards(lambda g: _directions(model, g), model.n, count,
                              stream)
-        # Summed in shard order, as _resultant does.
         resultant = np.zeros(model.n)
         for units in blocks:
-            resultant += units.sum(axis=0)
+            resultant += _column_sums(units)
         _sample_mean(resultant, sum(len(units) for units in blocks),
                      "sample_md projection undefined")
         theta = standardize(resultant).coords

@@ -145,6 +145,20 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
     return _row_sums(t[:half]) + _row_sums(t[half:])
 
 
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the rows of a float64 matrix x, added row by row from
+    +0.0: bit for bit x.sum(axis=0) when the column stride of x is the
+    smaller one (C-ordered, or a column slice of a C-ordered array).
+
+    einsum keeps the column index innermost, as numpy's reduce does, so
+    it adds the rows in the same order, but in one C loop where
+    add.reduce runs its inner loop once per row: 0.23 against 1.18 ms
+    for a 65,536 x 3 shard, 0.072 against 0.259 ms for 8,192 x 10
+    (2 vCPU, numpy 2.4.6).
+    """
+    return np.einsum("ij->j", x)
+
+
 def standardize_rows(rows, *, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized standardize over the rows of a matrix.
 

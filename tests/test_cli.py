@@ -282,6 +282,19 @@ class TestSimulateMrlCheck:
         assert "at 4 decimals" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("spelling", ["", "@"])
+    def test_empty_params_path_exits_2(self, spelling, tmp_path, capsys):
+        code, out, err = run(
+            ["simulate", "mrl-check", "--params", spelling, "--count", "2000",
+             "--output-dir", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 2
+        assert "--params" in err and "empty" in err
+        assert "Is a directory" not in err
+        assert out == ""
+        assert not (tmp_path / "x").exists()
+
 
 class TestSimulateIcPdf:
     def test_chi_mu_artifacts(self, tmp_path, capsys):

@@ -183,6 +183,73 @@ class TestRowSums:
         assert np.array_equal(got, np.add.reduce(x, axis=1))
 
 
+def row_by_row(x: np.ndarray) -> np.ndarray:
+    """The rows of x added one at a time, in order, from +0.0."""
+    total = np.zeros(x.shape[1])
+    for row in x:
+        total += row
+    return total
+
+
+def assert_column_sums_in_row_order(x: np.ndarray) -> None:
+    got = sphere._column_sums(x)
+    # Compared as bit patterns, so that the sign of a zero counts too.
+    assert got.view(np.int64).tolist() == row_by_row(x).view(np.int64).tolist()
+    assert got.view(np.int64).tolist() == x.sum(axis=0).view(np.int64).tolist()
+
+
+def binary_wide_range(rows: int, n: int, seed: int) -> np.ndarray:
+    """Entries +-2^e, e uniform in [-60, 60], so that most column sums
+    depend on the order of every addition."""
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=(rows, n))
+    return signs * np.exp2(rng.uniform(-60.0, 60.0, (rows, n)))
+
+
+def in_workspace(x: np.ndarray, view: str) -> np.ndarray:
+    """x itself, or a copy of it in a larger workspace: its prefix
+    ("flat", as _resultant's blocks are), a slice past the start
+    ("offset") or a column slice of a wider matrix ("columns")."""
+    rows, n = x.shape
+    if view == "own":
+        return x
+    if view == "columns":
+        v = np.full((rows + 2, n + 5), np.nan)[1:rows + 1, 2:n + 2]
+    else:
+        start = 0 if view == "flat" else 2 * n
+        work = np.full(rows * n + 3 * n, np.nan)
+        v = work[start:start + x.size].reshape(x.shape)
+    v[...] = x
+    return v
+
+
+class TestColumnSums:
+    @given(n=st.integers(2, 300), rows=st.integers(1, 3000),
+           seed=st.integers(0, 2 ** 32 - 1),
+           zero_rows=st.lists(st.tuples(st.integers(0, 2999), st.booleans()),
+                              max_size=6),
+           view=st.sampled_from(["own", "flat", "offset", "columns"]))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_added_in_order(self, n, rows, seed, zero_rows, view):
+        x = binary_wide_range(rows, n, seed)
+        for i, negative in zero_rows:
+            x[i % rows] = -0.0 if negative else 0.0
+        x = in_workspace(x, view)
+        assert_column_sums_in_row_order(x)
+
+    @pytest.mark.parametrize("rows, n", [(65536, 2), (65536, 3), (65536, 9),
+                                         (65536, 10), (2048, 4096)])
+    def test_shard_shapes(self, rows, n):
+        x = binary_wide_range(rows, n, seed=n)
+        x[[0, rows // 2]] = -0.0
+        x[rows - 1] = 0.0
+        assert_column_sums_in_row_order(x)
+
+    def test_negative_zero_total_is_positive(self):
+        assert_column_sums_in_row_order(np.array([[-0.0, 1.0]]))
+        assert sphere._column_sums(np.array([[-0.0, 1.0]])).view(np.int64)[0] == 0
+
+
 class TestStandardizeRowsBlocks:
     @staticmethod
     def with_degenerate_rows(n: int, step: int, seed: int) -> np.ndarray:
