@@ -12,7 +12,7 @@ here so any implementation can reproduce the streams bit for bit:
 - standard normals come from the polar method; attempt j consumes
   uniforms 2j and 2j+1 exactly, a = 2u-1, b = 2v-1, s = a^2 + b^2 is
   accepted iff 0 < s < 1, and emits a*m then b*m with
-  m = sqrt(-2 ln(s) / s). An unconsumed second variate is cached.
+  m = sqrt(-2 ln(s) / s). Takes read the normals off in this order.
 
 Row-major consumption: a draw matrix of shape (rows, n) takes rows*n
 normals in one run of the stream. Work is split into shards of 65536
@@ -74,8 +74,8 @@ _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U11 = np.uint64(11)
 _INV_2_52 = 2.0 ** -52
-# Polar attempts per block: the block's few buffers stay within L2.
-# The bits do not depend on it.
+# Polar attempts per block. A source draws whole blocks, whose few
+# buffers stay within L2; the bits do not depend on the size.
 _BLOCK_ATTEMPTS = 16384
 # Values per row block of a streamed shard (see _block_rows): 8,192
 # rows at n = 10. At 2^20 draws on 2 vCPUs, estimate_chi_mrl took
@@ -130,10 +130,11 @@ class SeededStream:
 class _NormalSource:
     """Sequential standard-normal source over one stream.
 
-    Polar attempts run in blocks of at most _BLOCK_ATTEMPTS: a block
-    draws the a and b uniforms of its attempts from their own counters
-    (2j+1 and 2j+2), takes 2u - 1 as (raw >> 11) * 2^-52 - 1, and writes
-    the accepted pairs straight into the output. Every uniform is a
+    Polar attempts run in whole blocks of _BLOCK_ATTEMPTS: a block draws
+    the a and b uniforms of its attempts from their own counters (2j+1
+    and 2j+2), takes 2u - 1 as (raw >> 11) * 2^-52 - 1, and keeps its
+    accepted pairs in order. take() copies from them and draws a block
+    only when they run out; restart() drops the rest. Every uniform is a
     function of its index alone, so the output is bitwise the scalar
     definition in the module docstring, for any block size and across
     arbitrary take() boundaries.
@@ -143,56 +144,52 @@ class _NormalSource:
         size = _BLOCK_ATTEMPTS
         # Attempt k of a block is 2k counters past the block's first.
         self._ramp = np.arange(size, dtype=np.uint64) * np.uint64(2 * _GAMMA & _MASK64)
-        self._bufs = [np.empty(size, np.uint64), np.empty(size, np.uint64),
-                      np.empty(size), np.empty(size), np.empty(size)]
+        # raw and scratch, and the kept pairs once a block's uniforms are drawn.
+        self._pairs = np.empty(2 * size)
+        self._bufs = (*np.split(self._pairs.view(np.uint64), 2),
+                      np.empty(size), np.empty(size), np.empty(size))
         self.restart(stream)
 
     def restart(self, stream: SeededStream) -> None:
-        """Start over at the head of stream, keeping the block buffers."""
+        """Start over at the head of stream; the kept pairs are dropped."""
         self._key = stream.key()
         self._attempts = 0
-        self._cached: float | None = None
+        self._left = self._pairs[:0]
+
+    def _block(self) -> None:
+        """Run the next _BLOCK_ATTEMPTS attempts and keep their pairs."""
+        raw, scratch, a, b, s = self._bufs
+        first = 2 * self._attempts + 1  # uniform i has counter i + 1
+        for u, counter in ((a, first), (b, first + 1)):
+            offset = np.uint64((self._key + counter * _GAMMA) & _MASK64)
+            np.add(self._ramp, offset, out=raw)
+            _mix64_inplace(raw, scratch)
+            raw >>= _U11
+            # Below 2^53, so int64 converts exactly, and faster.
+            np.multiply(raw.view(np.int64), _INV_2_52, out=u)
+            u -= 1.0
+        self._attempts += _BLOCK_ATTEMPTS
+        np.multiply(a, a, out=s)
+        s += b * b
+        accepted = np.flatnonzero((s > 0.0) & (s < 1.0))
+        s_a = s[accepted]
+        m = np.sqrt(-2.0 * np.log(s_a) / s_a)
+        self._left = self._pairs[:2 * accepted.size]
+        np.multiply(a[accepted], m, out=self._left[0::2])
+        np.multiply(b[accepted], m, out=self._left[1::2])
 
     def take(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The next count normals, in out[:count] if given (count + 1 slots)."""
-        pos = 1 if self._cached is not None and count > 0 else 0
-        size = pos + 2 * ((count - pos + 1) // 2)
-        out = np.empty(size) if out is None else out[:size]
-        if pos:
-            out[0] = self._cached
-            self._cached = None
-        while pos < out.size:
-            remaining = (out.size - pos) // 2
-            # Polar acceptance is pi/4; 1.35 overshoots slightly.
-            block = min(_BLOCK_ATTEMPTS, int(remaining * 1.35) + 16)
-            raw, scratch, a, b, s = (buf[:block] for buf in self._bufs)
-            first = 2 * self._attempts + 1  # uniform i has counter i + 1
-            for u, counter in ((a, first), (b, first + 1)):
-                offset = np.uint64((self._key + counter * _GAMMA) & _MASK64)
-                np.add(self._ramp[:block], offset, out=raw)
-                _mix64_inplace(raw, scratch)
-                raw >>= _U11
-                # Below 2^53, so int64 converts exactly, and faster.
-                np.multiply(raw.view(np.int64), _INV_2_52, out=u)
-                u -= 1.0
-            np.multiply(a, a, out=s)
-            s += b * b
-            accepted = np.flatnonzero((s > 0.0) & (s < 1.0))
-            if accepted.size >= remaining:
-                accepted = accepted[:remaining]
-                # Attempts after the last used one have not happened yet.
-                self._attempts += int(accepted[-1]) + 1
-            else:
-                self._attempts += block
-            s_a = s[accepted]
-            m = np.sqrt(-2.0 * np.log(s_a) / s_a)
-            end = pos + 2 * accepted.size
-            np.multiply(a[accepted], m, out=out[pos:end:2])
-            np.multiply(b[accepted], m, out=out[pos + 1:end:2])
-            pos = end
-        if out.size > count:
-            self._cached = float(out[-1])
-        return out[:count]
+        """The next count normals, in out[:count] if given."""
+        out = np.empty(count) if out is None else out[:count]
+        pos = 0
+        while pos < count:
+            if not self._left.size:
+                self._block()
+            k = min(count - pos, self._left.size)
+            out[pos:pos + k] = self._left[:k]
+            self._left = self._left[k:]
+            pos += k
+        return out
 
 
 def _validate_int(value: int, name: str, minimum: int | None = 1) -> int:
@@ -263,8 +260,8 @@ def _resultant(model: GaussianModel, count: int,
     block takes the remainder, so no block is shorter than step rows
     unless the shard is. A short tail product can change the draws'
     bits: a 1-row one takes BLAS's gemv path, and an 8-row one changed
-    all 8 rows at n = 50. Blocks run through one normals buffer and one
-    workspace per call. A block's sum carries the sum of the blocks
+    all 8 rows at n = 50. Blocks run through one normals buffer, which
+    each take fills exactly, and one workspace per call. A block's sum carries the sum of the blocks
     before it, added into its first row, and sphere._column_sums adds
     the block's rows in order, so the shard's rows are added in order,
     in the bits of units.sum(axis=0) over the whole shard.
@@ -278,7 +275,7 @@ def _resultant(model: GaussianModel, count: int,
 
     # The largest block ends a full shard or the partial one.
     largest = max(sizes(min(count, SHARD_ROWS))[-1], sizes(count % SHARD_ROWS)[-1])
-    normals = np.empty(largest * n + 1)  # + 1 for an odd take's cached variate
+    normals = np.empty(largest * n)
     work = np.empty(largest * n)
     total = np.zeros(n)
     kept = 0

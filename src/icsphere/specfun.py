@@ -137,6 +137,25 @@ def _validate_nx(n: int, x: float, minimum_n: int) -> int:
     return n
 
 
+def _gamma_ratio(b: float) -> float:
+    """Gamma(b - 1/2) / Gamma(b) for b >= 1.
+
+    From b = 16 on, ln of the ratio is -ln(b)/2 plus the difference of
+    DLMF 5.11.8's series at a = -1/2 and a = 0, to 1/b^11: within 3e-16
+    of mpmath up to b = 5e5. exp(lgamma - lgamma), kept below 16, loses
+    eps * lgamma(b) to the subtraction.
+    """
+    if b < 16.0:
+        return math.exp(math.lgamma(b - 0.5) - math.lgamma(b))
+    # (-1)^k (B_k(-1/2) - B_k) / (k (k-1)) for k = 2..12: Bernoulli
+    # polynomials and numbers.
+    series = 0.0
+    for c in (699 / 180224, 1 / 10240, -3 / 2048, 1 / 2048, 33 / 14336,
+              1 / 384, 3 / 640, 1 / 64, 3 / 64, 1 / 8, 3 / 8):
+        series = (series + c) / b
+    return math.exp(series) / math.sqrt(b)
+
+
 def varrho(n: int, x: float) -> float:
     """Mean resultant length profile in dimension parameter n at x >= 0.
 
@@ -152,7 +171,7 @@ def varrho(n: int, x: float) -> float:
     terms = _expansion_terms(0.5, b, y)
     if terms is not None:
         return math.fsum(terms)
-    prefactor = math.exp(math.lgamma(b - 0.5) - math.lgamma(b)) / math.sqrt(2.0)
+    prefactor = _gamma_ratio(b) / math.sqrt(2.0)
     return prefactor * x * kummer_m(0.5, b, -y)
 
 

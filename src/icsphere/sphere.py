@@ -179,9 +179,10 @@ def standardize_rows(rows, *, out=None) -> tuple[np.ndarray, np.ndarray]:
     A row whose sum of squares is out of range is first multiplied by an
     exact power of two, 2^-e with 2^e above its largest |entry|, so no bit
     depends on the row's scale and the relative floor alone decides.
-    With out, an array of the rows' shape, the units are written into it
-    and returned as out[:kept_count]. out may be the rows array itself:
-    a block is copied out before any unit lands on its rows.
+    The units are written into out, an array of the rows' shape, if given
+    (else a new one), and returned as its first kept_count rows. out may
+    be the rows array itself: a block is copied out before any unit
+    lands on its rows.
     """
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2:
@@ -226,10 +227,7 @@ def standardize_rows(rows, *, out=None) -> tuple[np.ndarray, np.ndarray]:
             t /= np.sqrt(_row_sums(sq))
             units[done:done + r.size] = t.T
             done += r.size
-    if out is not None:
-        return out[:done], kept
-    units.resize((done, n), refcheck=False)
-    return units, kept
+    return units[:done], kept
 
 
 def helmert_v(n: int) -> np.ndarray:

@@ -162,6 +162,67 @@ class TestMoments:
         assert json.loads(out)["n"] == 3
 
 
+class TestVectorFiles:
+    """--mu, --theta and --iota take '@path': a JSON list, or numbers
+    separated by whitespace and commas."""
+
+    MOMENTS = ["moments", "--mu", "1,2,4", "--sigma", "0.5", "--rho", "0.1",
+               "--theta", "1,0,-1"]
+
+    def argv(self, flag, value, panel_csv, tmp_path):
+        if flag == "--iota":
+            return ["empirical", "--input", panel_csv, "--iota", value,
+                    "--output-dir", str(tmp_path / "out")]
+        argv = list(self.MOMENTS)
+        argv[argv.index(flag) + 1] = value
+        return argv
+
+    @pytest.mark.parametrize("flag", ["--mu", "--theta", "--iota"])
+    def test_missing_file_exits_2(self, flag, five_year_panel_csv, tmp_path,
+                                  capsys):
+        argv = self.argv(flag, f"@{tmp_path / 'nope.txt'}",
+                         five_year_panel_csv, tmp_path)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert f"cannot read {flag} file" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--mu", "--theta", "--iota"])
+    def test_bad_json_exits_2(self, flag, five_year_panel_csv, tmp_path, capsys):
+        path = tmp_path / "vec.json"
+        path.write_text("[1.0, 2.0,")
+        code, out, err = run(self.argv(flag, f"@{path}", five_year_panel_csv,
+                                       tmp_path), capsys)
+        assert code == 2
+        assert f"bad JSON in {flag} file" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--mu", "--theta"])
+    def test_whitespace_and_comma_list(self, flag, tmp_path, capsys):
+        inline = run(self.MOMENTS, capsys)
+        assert inline[0] == 0
+        value = self.MOMENTS[self.MOMENTS.index(flag) + 1]
+        path = tmp_path / "vec.txt"
+        path.write_text("\n  " + value.replace(",", " ,\t", 1).replace(",", "\n")
+                        + "\n")
+        assert run(self.argv(flag, f"@{path}", None, tmp_path), capsys) == inline
+
+    def test_iota_whitespace_and_comma_list(self, five_year_panel_csv, tmp_path,
+                                            capsys):
+        coords = [1.0, 0.0, -1.0, 0.5, 0.0, 0.0, 2.0, 0.0, -0.5, 0.25]
+        listed = tmp_path / "iota.json"
+        listed.write_text(json.dumps(coords))
+        spaced = tmp_path / "iota.txt"
+        spaced.write_text("1 0,-1\n0.5, 0 0\t2\n0 -0.5 , 0.25\n")
+        for name, path in (("json", listed), ("txt", spaced)):
+            argv = self.argv("--iota", f"@{path}", five_year_panel_csv,
+                             tmp_path / name)
+            assert run(argv, capsys)[0] == 0
+        for name in ("window_full.json", "projected_full.csv"):
+            assert ((tmp_path / "json" / "out" / name).read_bytes()
+                    == (tmp_path / "txt" / "out" / name).read_bytes())
+
+
 class TestArgumentHandling:
     def test_no_command(self, capsys):
         assert run([], capsys)[0] == 2
@@ -294,6 +355,45 @@ class TestSimulateMrlCheck:
         assert "Is a directory" not in err
         assert out == ""
         assert not (tmp_path / "x").exists()
+
+
+class TestParamsFile:
+    """--params files that exit 2 (usage), and a tampered bundled set."""
+
+    def mrl_check(self, tmp_path, capsys, *params):
+        return run(["simulate", "mrl-check", *params, "--count", "2000",
+                    "--output-dir", str(tmp_path / "out")], capsys)
+
+    @pytest.mark.parametrize("text,message", [
+        ("{not json", "is not valid JSON"),
+        ("[1.0, 2.0]", "must hold a JSON object"),
+        ('{"sigma10": [[1.0, 0.0], [0.0, 1.0]]}', "lacks the key needed for ten_base"),
+    ], ids=["not_json", "list", "no_mu10"])
+    def test_bad_file_exits_2(self, text, message, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        code, out, err = self.mrl_check(tmp_path, capsys, "--params", f"@{path}")
+        assert code == 2
+        assert message in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_tampered_bundled_fixture_exits_2(self, monkeypatch, tmp_path,
+                                              capsys):
+        bundled = fixtures.BUNDLED_PARAMS_PATH.read_text()
+        data = tmp_path / "benchmark_params.json"
+        data.write_text(bundled.replace("0.", "1.", 1))
+        checksum = tmp_path / "benchmark_params.sha256"
+        checksum.write_text(fixtures._CHECKSUM_PATH.read_text())
+        monkeypatch.setattr(fixtures, "BUNDLED_PARAMS_PATH", data)
+        monkeypatch.setattr(fixtures, "_CHECKSUM_PATH", checksum)
+        code, out, err = self.mrl_check(tmp_path, capsys)
+        assert code == 2
+        assert "bundled parameter fixture failed its checksum" in err
+        assert out == ""
+        # The untampered copy loads.
+        data.write_text(bundled)
+        assert self.mrl_check(tmp_path, capsys)[0] == 0
 
 
 class TestSimulateIcPdf:
@@ -500,6 +600,22 @@ class TestEmpirical:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("spec,message", [
+        ("2015-01-01:2015-13-01", "--windows range must be ISO dates"),
+        ("2015-01-01:", "--windows range must be ISO dates"),
+        ("monthly", "--windows must be 'yearly', 'full', or 'from:to'"),
+    ])
+    def test_bad_windows_spec_exits_2(self, spec, message, five_year_panel_csv,
+                                      tmp_path, capsys):
+        code, out, err = run(
+            ["empirical", "--input", five_year_panel_csv, "--windows", spec,
+             "--output-dir", str(tmp_path / "w")],
+            capsys,
+        )
+        assert code == 2
+        assert message in err
+        assert out == ""
 
     def test_oversized_rolling_window(self, five_year_panel_csv, tmp_path, capsys):
         code, _, _ = run(

@@ -82,6 +82,25 @@ class TestLoadPanel:
         assert panel.dropped_columns == ("E",)
         assert panel.filled_cells == 0
 
+    def test_blank_line_skipped(self, tmp_path):
+        # csv.reader gives [] for an empty line: it is no row and no error,
+        # and the next row's number still counts it.
+        lines = small_panel_text().splitlines(keepends=True)
+        plain = tmp_path / "plain.csv"
+        plain.write_text("".join(lines))
+        path = tmp_path / "blank.csv"
+        path.write_text("".join(lines[:3] + ["\n"] + lines[3:6] + ["\n", "\n"]
+                                + lines[6:]))
+        want = empirical.load_panel(str(plain))
+        got = empirical.load_panel(str(path))
+        assert got.dates == want.dates and got.t == 10
+        assert np.array_equal(got.returns, want.returns)
+        assert np.array_equal(got.missing_mask, want.missing_mask)
+        bad = tmp_path / "blank_then_bad.csv"
+        bad.write_text("".join(lines[:3] + ["\n", "2020-01-06,x,0,0,0\n"]))
+        with pytest.raises(MalformedInputError, match="row 5"):
+            empirical.load_panel(str(bad))
+
     def test_column_at_limit_kept(self, tmp_path):
         dates = business_days(D(2020, 1, 2), 20)
         rng = np.random.default_rng(2)

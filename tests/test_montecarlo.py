@@ -113,47 +113,50 @@ class TestNormalSource:
         )
 
     def test_block_crossings_match_scalar_reference(self):
-        # Over more than three attempt blocks: odd takes carry the
-        # cached variate across block ends, and the second take ends on
-        # the last accepted pair of its first block.
+        # Over more than three attempt blocks: odd takes carry a pair's
+        # second variate across block ends, and the second take ends on
+        # the last accepted pair of the second block. Blocks are whole
+        # and drawn only when a take needs one, so the attempt count is
+        # the end of the block that emitted the last used pair.
         block = mc._BLOCK_ATTEMPTS
         stream = mc.SeededStream(seed=77, stream_id=5)
         ref, pair_attempts = scalar_polar(stream, 2 * int(3.1 * block))
         src = mc._NormalSource(stream)
         used = 2 * block + 1
         pieces = [src.take(used)]
-        start = pair_attempts[block] + 1  # pairs 0..block are consumed
-        pairs = sum(start <= j < start + block for j in pair_attempts)
-        # That block's final attempt is rejected, so the attempt count
-        # must stop short of the block's end.
-        assert start + block - 1 not in pair_attempts
-        sizes = [1 + 2 * pairs, 2 * block + 3, 1, 4097]
+        # Pairs 0..block are consumed, and pair block is in the second block.
+        assert pair_attempts[block] // block == 1
+        pairs = sum(j < 2 * block for j in pair_attempts)
+        sizes = [2 * pairs - used, 2 * block + 3, 1, 4097]
         for size in sizes:
-            assert src._attempts == pair_attempts[(used + 1) // 2 - 1] + 1
+            last = pair_attempts[(used + 1) // 2 - 1]
+            assert src._attempts == (last // block + 1) * block
             pieces.append(src.take(size))
             used += size
         assert used <= ref.size
         assert np.array_equal(np.concatenate(pieces), ref[:used])
-        assert src._attempts == pair_attempts[(used + 1) // 2 - 1] + 1
+        last = pair_attempts[(used + 1) // 2 - 1]
+        assert src._attempts == (last // block + 1) * block
         assert src._attempts > 3 * block
 
     def test_take_into_out_matches_take(self):
-        # Uneven odd takes leave a cached variate, which the next take
-        # must hand on whether or not it writes into a buffer; the buffer's
-        # stale values beyond each take must not leak into the next.
+        # Uneven odd takes leave a pair's second variate, which the next
+        # take must hand on whether or not it writes into a buffer; a
+        # take writes exactly out[:count], so the buffer needs no spare
+        # slot, and its stale values beyond a take must not leak.
         stream = mc.SeededStream(seed=31, stream_id=2)
         sizes = [1, 7, 2 * mc._BLOCK_ATTEMPTS + 3, 0, 4, 9, 40001, 6]
         plain = mc._NormalSource(stream)
         into = mc._NormalSource(stream)
-        buf = np.full(max(sizes) + 1, np.nan)
+        buf = np.full(max(sizes), np.nan)
         for size in sizes:
             want = plain.take(size)
             got = into.take(size, buf)
             assert got.base is buf and got.size == size
             assert np.array_equal(got, want)
             assert into._attempts == plain._attempts
-            assert into._cached == plain._cached
-        assert plain._cached is not None
+            assert np.array_equal(into._left, plain._left)
+        assert plain._left.size % 2 == 1
 
     def test_shard_bits_frozen(self):
         # Frozen before the sampler moved to attempt blocks: a speedup
@@ -162,7 +165,9 @@ class TestNormalSource:
         z = src.take(mc.SHARD_ROWS * 10)
         assert hashlib.sha256(z.tobytes()).hexdigest() == (
             "80e7880bde91d3e709b145f30bed0664c00553274fcff6a61f4cf1ec0f7dd0bd")
-        assert src._attempts == 416765
+        # Its last pair came from attempt 416,764, in the 26th block.
+        block = mc._BLOCK_ATTEMPTS
+        assert src._attempts == (416764 // block + 1) * block
 
     def test_shard_take_memory(self):
         # One shard's take holds its output and a few block-sized
@@ -970,6 +975,39 @@ class TestStreamedResultant:
                                   mc.SeededStream(seed=5))
         assert kept == mc.SHARD_ROWS + 4
         assert digest(vec) == total
+
+
+    @pytest.mark.parametrize("block", [1, 0], ids=["second", "first"])
+    def test_degenerate_block_dropped(self, monkeypatch, block):
+        # Every draw of one 8,192-row block of shard 0 is constant, so the
+        # block keeps no direction; the carried sum goes on to the next.
+        step = mc._block_rows(10)
+        assert step == 8192
+        lo, hi = block * step, (block + 1) * step
+        draws = mc._draws
+        seen = [0]
+
+        def draws_with_constant_block(model, g, out=None):
+            y = draws(model, g, out)
+            start = seen[0]
+            seen[0] += g.shape[0]
+            y[max(lo - start, 0):max(hi - start, 0)] = 1.0
+            return y
+
+        monkeypatch.setattr(mc, "_draws", draws_with_constant_block)
+        model, count = seeded_model(10), mc.SHARD_ROWS + 5
+        stream = mc.SeededStream(seed=5)
+        vec, kept = mc._resultant(model, count, stream)
+        assert seen[0] == count
+        assert kept == count - step
+        seen[0] = 0
+        shards = mc._map_shards(lambda g: mc._directions(model, g), 10, count,
+                                stream)
+        assert [len(units) for units in shards] == [mc.SHARD_ROWS - step, 5]
+        want = np.zeros(10)
+        for units in shards:
+            want += sphere._column_sums(units)
+        assert np.array_equal(vec, want)
 
 
 def _load_spans():

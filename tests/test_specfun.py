@@ -203,6 +203,33 @@ class TestVarrho:
                 assert specfun.varrho(n, x) == pytest.approx(
                     mp_curves(n, x)[0], rel=1e-12), (n, x)
 
+    @pytest.mark.parametrize("b", [16.0, 16.5, 51.0, 501.0, 5001.0, 50001.0])
+    def test_gamma_ratio_series_against_mpmath(self, b):
+        with mpmath.workdps(50):
+            ref = mpmath.gamma(mpmath.mpf(b) - 0.5) / mpmath.gamma(b)
+            err = abs(specfun._gamma_ratio(b) - ref) / ref
+        assert err <= 1e-15, (b, float(err))
+
+    def test_gamma_ratio_keeps_lgamma_below_16(self):
+        # Every n <= 29 keeps the bits it had before the series.
+        for n in range(1, 30):
+            b = (n + 2) / 2.0
+            assert specfun._gamma_ratio(b) == math.exp(
+                math.lgamma(b - 0.5) - math.lgamma(b))
+
+    @pytest.mark.parametrize("n,x,tol", [
+        (1000, 30.0, 5e-14), (10 ** 4, 30.0, 5e-14), (10 ** 4, 60.0, 2e-13),
+        (10 ** 5, 100.0, 5e-13),
+        # Both sides of the switch to the series at b = 16.
+        (29, 3.0, 1e-14), (30, 3.0, 1e-14), (31, 3.0, 1e-14), (32, 3.0, 1e-14),
+    ])
+    def test_series_prefactor_against_mpmath(self, n, x, tol):
+        # The series path: the prefactor is good to eps, and the bound is
+        # set by kummer_m's e^z scaling, which loses about eps * x^2 / 2.
+        assert specfun._expansion_terms(0.5, (n + 2) / 2.0, x * x / 2.0) is None
+        ref = mp_curves(n, x)[0]
+        assert abs(specfun.varrho(n, x) - ref) <= tol * ref
+
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             specfun.varrho(0, 1.0)
