@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, DomainError, ModelError
 
-__all__ = ["TIE_TOL", "tie_groups", "eigh_sorted", "fix_column_signs", "cholesky_lower"]
+__all__ = ["TIE_TOL", "tie_groups", "symmetric_eigen", "fix_column_signs", "cholesky_lower"]
 
 # Ascending neighbours at most TIE_TOL * ||A||_F apart are tied; the
 # multiplicity min_variance reports is the size of the same group.
@@ -67,13 +67,14 @@ def _projector_basis(vg: np.ndarray) -> np.ndarray:
     return vg @ q
 
 
-def eigh_sorted(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric a.
+def symmetric_eigen(a) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic symmetric eigendecomposition, eigenvalues ascending.
 
-    Column i pairs with eigenvalue i. Each group of tie_groups gets the
-    projector basis, which depends only on its eigenspace; signs follow
-    fix_column_signs. Non-finite or asymmetric input raises DomainError,
-    a LAPACK failure ConvergenceError.
+    LAPACK eigenpairs; column i of the orthonormal eigenvectors pairs
+    with eigenvalue i. Each group of tie_groups gets the Gram-Schmidt
+    basis of its projector's columns in index order, which depends only
+    on its eigenspace; signs follow fix_column_signs. Non-finite or
+    asymmetric input raises DomainError, a LAPACK failure ConvergenceError.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:

@@ -108,13 +108,15 @@ def _json_text(obj) -> str:
 def _manifest_argv(args) -> list[str]:
     """The command path, then every option of its parser that has a
     value, in parser order. --output-dir and --threads never change an
-    artifact, so they are left out. str gives a float's repr."""
+    artifact, so they are left out. str gives a float's repr; a value that
+    starts with '-' is written --opt=value, or argparse reads it as an option."""
     argv = list(args.path)
     for action in args.parser._actions:
         value = getattr(args, action.dest, None)
         if (action.option_strings and value is not None
                 and action.dest not in ("output_dir", "threads")):
-            argv += [action.option_strings[0], str(value)]
+            opt, text = action.option_strings[0], str(value)
+            argv += [f"{opt}={text}"] if text.startswith("-") else [opt, text]
     return argv
 
 
@@ -189,9 +191,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_simulate_ic_pdf(args) -> int:
-    params = fixtures.load_params(args.params and args.params.removeprefix("@"))
     which = "ten_hetero" if args.variant == "hetero" else "ten_base"
-    mu, cov = fixtures.model_params(params, which)
+    mu, cov = fixtures.load_params(args.params and args.params.removeprefix("@"), which)
     model = moments.GaussianModel(mu, cov)
     stream = montecarlo.SeededStream(args.seed)
     density, values = montecarlo.ic_distribution(
@@ -220,8 +221,7 @@ def _cmd_simulate_ic_pdf(args) -> int:
 
 
 def _cmd_simulate_md_perturb(args) -> int:
-    params = fixtures.load_params(args.params and args.params.removeprefix("@"))
-    mu, cov = fixtures.model_params(params, "three")
+    mu, cov = fixtures.load_params(args.params and args.params.removeprefix("@"), "three")
     try:
         factors = [float(f) for f in args.factors.split(",") if f.strip() != ""]
     except ValueError:
@@ -247,8 +247,7 @@ def _cmd_simulate_md_perturb(args) -> int:
 
 
 def _cmd_simulate_mrl_check(args) -> int:
-    params = fixtures.load_params(args.params and args.params.removeprefix("@"))
-    mu, cov = fixtures.model_params(params, "ten_base")
+    mu, cov = fixtures.load_params(args.params and args.params.removeprefix("@"), "ten_base")
     model = moments.GaussianModel(mu, cov)
     n = model.n
 

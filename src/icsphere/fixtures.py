@@ -10,11 +10,16 @@ import numpy as np
 
 from .errors import MalformedInputError
 
-__all__ = ["BUNDLED_PARAMS_PATH", "load_params", "model_params"]
+__all__ = ["BUNDLED_PARAMS_PATH", "load_params"]
 
 _FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 BUNDLED_PARAMS_PATH = _FIXTURE_DIR / "benchmark_params.json"
 _CHECKSUM_PATH = _FIXTURE_DIR / "benchmark_params.sha256"
+
+# The (mean, covariance) keys each selection reads; ten_hetero also
+# reads hetero_scale.
+_SELECTIONS = {"ten_base": ("mu10", "sigma10"), "ten_hetero": ("mu10", "sigma10"),
+               "three": ("mu3", "sigma3")}
 
 
 def _verify_bundled(text: str) -> None:
@@ -27,23 +32,24 @@ def _verify_bundled(text: str) -> None:
         )
 
 
-def load_params(path=None) -> dict:
-    """Parse a parameter file into numpy arrays.
+def load_params(path, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (mu, cov) pair that selection `which` names in a parameter file.
 
-    With no path, loads the bundled ten-asset benchmark set and verifies
-    its sha256 sidecar. User files may either follow the bundled schema
-    or provide just {"mu": [...], "cov": [[...]]}.
+    With path None, reads the bundled ten-asset benchmark set and
+    verifies its sha256 sidecar. which is ten_base (mu10, sigma10),
+    ten_hetero (mu10, sigma10 scaled by hetero_scale on both sides) or
+    three (mu3, sigma3). A file holding mu or cov is a plain model: it
+    needs both, and they override which. Only the keys read are checked.
     """
-    bundled = path is None
     if path == "":
         # Path("") is the working directory; name what the user gave.
         raise MalformedInputError("--params names no file: the path is empty")
-    target = BUNDLED_PARAMS_PATH if bundled else Path(path)
+    target = BUNDLED_PARAMS_PATH if path is None else Path(path)
     try:
         text = target.read_text()
     except OSError as exc:
         raise MalformedInputError(f"cannot read parameter file {target}: {exc}") from None
-    if bundled:
+    if path is None:
         _verify_bundled(text)
     try:
         raw = json.loads(text)
@@ -52,34 +58,26 @@ def load_params(path=None) -> dict:
     if not isinstance(raw, dict):
         raise MalformedInputError("parameter file must hold a JSON object")
 
-    out: dict = {"source": str(target), "version": raw.get("version")}
-    array_keys = ("mu10", "sigma10", "hetero_scale", "mu3", "sigma3", "mu", "cov")
-    for key in array_keys:
-        if key in raw:
-            out[key] = np.asarray(raw[key], dtype=np.float64)
-    if "sigma10" in out and "hetero_scale" in out:
-        h = out["hetero_scale"]
-        out["sigma10_hetero"] = out["sigma10"] * np.outer(h, h)
-    return out
+    def array(key: str, ndim: int) -> np.ndarray:
+        try:
+            value = np.asarray(raw[key])
+        except KeyError:
+            raise MalformedInputError(
+                f"parameter file lacks the key needed for {which}: {key!r}") from None
+        except ValueError:  # ragged nesting
+            value = np.asarray(None)
+        if value.dtype.kind not in "iuf" or value.ndim != ndim:
+            raise MalformedInputError(
+                f"parameter file key {key!r} is not a {ndim}-d array of numbers")
+        return value.astype(np.float64)
 
-
-def model_params(params: dict, which: str) -> tuple[np.ndarray, np.ndarray]:
-    """Pick a (mu, cov) pair out of a loaded parameter dict.
-
-    which is one of ten_base, ten_hetero, three. A user file carrying
-    plain mu/cov overrides the named selection.
-    """
-    if "mu" in params and "cov" in params:
-        return params["mu"], params["cov"]
-    try:
-        if which == "ten_base":
-            return params["mu10"], params["sigma10"]
-        if which == "ten_hetero":
-            return params["mu10"], params["sigma10_hetero"]
-        if which == "three":
-            return params["mu3"], params["sigma3"]
-    except KeyError as exc:
-        raise MalformedInputError(
-            f"parameter file lacks the key needed for {which}: {exc}"
-        ) from None
-    raise MalformedInputError(f"unknown parameter selection {which!r}")
+    plain = "mu" in raw or "cov" in raw
+    mu_key, cov_key = ("mu", "cov") if plain else _SELECTIONS[which]
+    mu, cov = array(mu_key, 1), array(cov_key, 2)
+    if which == "ten_hetero" and not plain:
+        h = array("hetero_scale", 1)
+        if cov.shape != h.shape * 2:
+            raise MalformedInputError(f"parameter file key 'hetero_scale' has "
+                                      f"{h.size} entries for 'sigma10' of shape {cov.shape}")
+        cov = cov * np.outer(h, h)
+    return mu, cov

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import eigh_sorted, fix_column_signs, tie_groups
+from ._linalg import fix_column_signs, symmetric_eigen, tie_groups
 from .errors import (
     DimensionError,
     DomainError,
@@ -66,16 +66,6 @@ def max_expectation(summary: MomentSummary) -> OptimizationResult:
             "mean resultant length is zero; E[T] is identically zero"
         )
     return OptimizationResult(theta_star=summary.md, value=summary.mrl)
-
-
-def symmetric_eigen(a) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic symmetric eigendecomposition, eigenvalues ascending.
-
-    LAPACK eigenpairs; tied eigenvalues get the Gram-Schmidt basis of
-    their projector's columns in index order (see _linalg.eigh_sorted
-    for the tie, sign and error rules).
-    """
-    return eigh_sorted(a)
 
 
 def min_variance(cov_chi) -> OptimizationResult:

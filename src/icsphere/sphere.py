@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import eigh_sorted
+from ._linalg import symmetric_eigen
 from .errors import DegenerateInputError, DimensionError, DomainError
 
 __all__ = [
@@ -299,7 +299,7 @@ def build_representation(mu, cov) -> Representation:
     v = helmert_v(n)
     b = v.T @ cov @ v
     b = 0.5 * (b[: n - 1, : n - 1] + b[: n - 1, : n - 1].T)
-    w, q = eigh_sorted(b)
+    w, q = symmetric_eigen(b)
     w, q = w[::-1], q[:, ::-1]
 
     u = v.copy()

@@ -3,6 +3,9 @@ the exactly scalable inputs of the scale-invariance tests."""
 
 import csv
 import datetime
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,3 +73,13 @@ def iid_panel_csv(tmp_path_factory) -> str:
     path = tmp_path_factory.mktemp("panels") / "iid.csv"
     write_panel_csv(path, dates, [f"B{j}" for j in range(8)], matrix)
     return str(path)
+
+
+def load_perfbench(name: str):
+    """A module of the benchmark harness, loaded from perfbench/ unchanged."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module

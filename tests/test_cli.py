@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from icsphere import cli, empirical, fixtures, moments, optimize, specfun, sphere
-from tests.conftest import business_days, one_factor_returns, write_panel_csv
+from tests.conftest import (
+    business_days,
+    load_perfbench,
+    one_factor_returns,
+    write_panel_csv,
+)
 
 
 def run(argv, capsys):
@@ -358,25 +363,61 @@ class TestSimulateMrlCheck:
 
 
 class TestParamsFile:
-    """--params files that exit 2 (usage), and a tampered bundled set."""
+    """--params files that exit 2 (usage), keys a command does not read,
+    and a tampered bundled set."""
 
-    def mrl_check(self, tmp_path, capsys, *params):
-        return run(["simulate", "mrl-check", *params, "--count", "2000",
+    def simulate(self, tmp_path, capsys, command, *params):
+        return run(["simulate", *command, *params, "--count", "2000",
                     "--output-dir", str(tmp_path / "out")], capsys)
 
-    @pytest.mark.parametrize("text,message", [
-        ("{not json", "is not valid JSON"),
-        ("[1.0, 2.0]", "must hold a JSON object"),
-        ('{"sigma10": [[1.0, 0.0], [0.0, 1.0]]}', "lacks the key needed for ten_base"),
-    ], ids=["not_json", "list", "no_mu10"])
-    def test_bad_file_exits_2(self, text, message, tmp_path, capsys):
+    @staticmethod
+    def bundled_with(**keys):
+        """The bundled set's JSON with keys replaced; None drops a key."""
+        raw = {**json.loads(fixtures.BUNDLED_PARAMS_PATH.read_text()), **keys}
+        return json.dumps({k: v for k, v in raw.items() if v is not None})
+
+    MRL = ("mrl-check",)
+    HETERO = ("ic-pdf", "--variant", "hetero")
+
+    @pytest.mark.parametrize("text,message,command", [
+        ("{not json", "is not valid JSON", MRL),
+        ("[1.0, 2.0]", "must hold a JSON object", MRL),
+        ('{"sigma10": [[1.0, 0.0], [0.0, 1.0]]}',
+         "lacks the key needed for ten_base: 'mu10'", MRL),
+        ('{"mu": [0.1, 0.2], "cov": [[1.0, 0.0], [0.0]]}',
+         "key 'cov' is not a 2-d array of numbers", MRL),
+        ('{"mu": [0.1, "x"], "cov": [[1.0, 0.0], [0.0, 1.0]]}',
+         "key 'mu' is not a 1-d array of numbers", MRL),
+        ('{"mu": [0.1, 0.2]}', "lacks the key needed for ten_base: 'cov'", MRL),
+        (bundled_with(hetero_scale=[1.0, 3.0]),
+         "key 'hetero_scale' has 2 entries for 'sigma10' of shape (10, 10)", HETERO),
+        (bundled_with(hetero_scale=None),
+         "lacks the key needed for ten_hetero: 'hetero_scale'", HETERO),
+    ], ids=["not_json", "list", "no_mu10", "ragged_cov", "string_in_mu",
+            "mu_without_cov", "hetero_scale_length", "no_hetero_scale"])
+    def test_bad_file_exits_2(self, text, message, command, tmp_path, capsys):
         path = tmp_path / "params.json"
         path.write_text(text)
-        code, out, err = self.mrl_check(tmp_path, capsys, "--params", f"@{path}")
+        code, out, err = self.simulate(tmp_path, capsys, command, "--params", f"@{path}")
         assert code == 2
+        assert err.startswith("error: ")
         assert message in err
         assert out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [MRL, ("md-perturb", "--axis", "mu1")],
+                             ids=["mrl-check", "md-perturb"])
+    def test_key_the_command_does_not_read_is_not_checked(self, command, tmp_path,
+                                                          capsys):
+        # Neither command reads hetero_scale, so one of the wrong length
+        # leaves the artifacts as the bundled set makes them.
+        path = tmp_path / "params.json"
+        path.write_text(self.bundled_with(hetero_scale=[1.0, 3.0]))
+        bundled, edited = tmp_path / "bundled", tmp_path / "edited"
+        assert self.simulate(bundled, capsys, command)[0] == 0
+        code, _, err = self.simulate(edited, capsys, command, "--params", f"@{path}")
+        assert code == 0, err
+        assert_same_artifacts(bundled / "out", edited / "out")
 
     def test_tampered_bundled_fixture_exits_2(self, monkeypatch, tmp_path,
                                               capsys):
@@ -387,13 +428,13 @@ class TestParamsFile:
         checksum.write_text(fixtures._CHECKSUM_PATH.read_text())
         monkeypatch.setattr(fixtures, "BUNDLED_PARAMS_PATH", data)
         monkeypatch.setattr(fixtures, "_CHECKSUM_PATH", checksum)
-        code, out, err = self.mrl_check(tmp_path, capsys)
+        code, out, err = self.simulate(tmp_path, capsys, self.MRL)
         assert code == 2
         assert "bundled parameter fixture failed its checksum" in err
         assert out == ""
         # The untampered copy loads.
         data.write_text(bundled)
-        assert self.mrl_check(tmp_path, capsys)[0] == 0
+        assert self.simulate(tmp_path, capsys, self.MRL)[0] == 0
 
 
 class TestSimulateIcPdf:
@@ -794,14 +835,21 @@ class TestRerun:
 
     @pytest.mark.parametrize("kind", [
         "moments", "empirical", "mrl-check", "ic-pdf-sample-md", "oracle-cov",
+        "moments-minus-list", "moments-minus-float",
     ])
     def test_threads_ignored_where_command_has_none(
             self, kind, five_year_panel_csv, tmp_path, capsys):
         # --threads is accepted, and ignored, by simulate, oracle and rerun:
-        # old scripts and the benchmark argv pass it.
+        # old scripts and the benchmark argv pass it. The minus cases rerun
+        # values that argparse takes for options unless joined by '='
+        # (-1e-05 is the repr of the float typed as -0.00001).
         argv, accepts_threads = {
             "moments": (["moments", "--mu", "1,2,4", "--sigma", "1.0",
                          "--rho", "0.0", "--theta", "1,0,-1"], False),
+            "moments-minus-list": (["moments", "--mu=-0.005,0.001,0.002,0.0",
+                                    "--sigma", "0.02", "--rho", "0.12"], False),
+            "moments-minus-float": (["moments", "--mu", "0.005,0.001,0.002,0.0",
+                                     "--sigma", "0.02", "--rho", "-0.00001"], False),
             "empirical": (["empirical", "--input", five_year_panel_csv,
                            "--rolling", "20"], False),
             "mrl-check": (["simulate", "mrl-check", "--count", "3000"], True),
@@ -871,6 +919,19 @@ class TestRerun:
         assert code == 2
         assert "[0, 2^64)" in err
         assert not (tmp_path / "out").exists()
+
+
+class TestBenchmarkArgv:
+    def test_every_workload_argv_parses(self, tmp_path):
+        # The benchmark runs these command lines; a flag it passes that
+        # the parser drops fails here, not in a benchmark run.
+        workloads = load_perfbench("workloads")
+        parser = cli._build_parser()
+        for workload in workloads.WORKLOADS.values():
+            workload.state["path"] = tmp_path / "panel.csv"  # set by prepare()
+            argv = workload.argv(tmp_path / workload.name, 7, 2)
+            args = parser.parse_args(argv)
+            assert args.output_dir == str(tmp_path / workload.name)
 
 
 class TestOutputDir:

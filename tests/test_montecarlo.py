@@ -7,13 +7,10 @@ take() boundary, and for any shard layout.
 
 import datetime
 import hashlib
-import importlib.util
 import math
-import sys
 import tracemalloc
 import types
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +23,12 @@ from icsphere.errors import (
     DomainError,
     UndefinedMeanDirectionError,
 )
-from tests.conftest import business_days, one_factor_returns, write_panel_csv
+from tests.conftest import (
+    business_days,
+    load_perfbench,
+    one_factor_returns,
+    write_panel_csv,
+)
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -184,7 +186,7 @@ class TestNormalSource:
     def test_streamed_resultant_memory(self):
         # Each shard streams in row blocks: no shard-sized normals, draws
         # or directions (5.2 MB each at n = 10) are ever held.
-        mu, cov = fixtures.model_params(fixtures.load_params(), "ten_base")
+        mu, cov = fixtures.load_params(None, "ten_base")
         model = moments.GaussianModel(mu, cov)
         tracemalloc.start()
         try:
@@ -344,7 +346,7 @@ class TestDirectionalSample:
     ], ids=["ten_base", "three"])
     def test_sample_chi_frozen(self, which, count, seed, want):
         # Frozen while sample_chi standardized sample_mvn's stacked draws.
-        mu, cov = fixtures.model_params(fixtures.load_params(), which)
+        mu, cov = fixtures.load_params(None, which)
         sample = mc.sample_chi(moments.GaussianModel(mu, cov), count,
                                mc.SeededStream(seed))
         assert sample.size == count
@@ -561,7 +563,7 @@ class TestKDEAgainstDirectSum:
     TWO_POINT = np.array([-1.0, 1.0] * 500)
 
     def test_ten_hetero_projections(self):
-        mu, cov = fixtures.model_params(fixtures.load_params(), "ten_hetero")
+        mu, cov = fixtures.load_params(None, "ten_hetero")
         est, values = mc.ic_distribution(
             moments.GaussianModel(mu, cov), "sample_md", 1 << 16,
             mc.SeededStream(seed=3),
@@ -797,7 +799,7 @@ class TestThreadIndependence:
             "d316a7d0eab46de9670d7e37094c5eb130b78df43a2f8ea0035847f592816fe3")
 
     def test_estimate_chi_mrl_frozen(self):
-        mu, cov = fixtures.model_params(fixtures.load_params(), "ten_base")
+        mu, cov = fixtures.load_params(None, "ten_base")
         model = moments.GaussianModel(mu, cov)
         stream = mc.SeededStream(seed=20240701)
         a = mc.estimate_chi_mrl(model, self.COUNT, stream)
@@ -922,7 +924,7 @@ class TestStreamedResultant:
         # the heap top back and fault it in again for every block: 11,776
         # to 53,319 minor faults per op when each block allocated its own.
         resource = pytest.importorskip("resource")
-        mu, cov = fixtures.model_params(fixtures.load_params(), "ten_base")
+        mu, cov = fixtures.load_params(None, "ten_base")
         model = moments.GaussianModel(mu, cov)
         stream = mc.SeededStream(seed=3)
         mc.estimate_chi_mrl(model, 1 << 20, stream)
@@ -1010,23 +1012,13 @@ class TestStreamedResultant:
         assert np.array_equal(vec, want)
 
 
-def _load_spans():
-    """The benchmark's span module, loaded from perfbench/ unchanged."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestTraceHooks:
     def test_shard_kernel_reaches_wrapped_standardize_rows(self):
         # The benchmark wraps standardize_rows where montecarlo holds it;
         # a kernel that bound it early would record no row spans.
         import icsphere.cli  # noqa: F401  (loads every layer the tracer wraps)
 
-        spans = _load_spans()
+        spans = load_perfbench("spans")
         tracer = spans.Tracer()
         sites = spans.find_sites()
         model = moments.GaussianModel(mu=np.arange(3.0), cov=np.eye(3))
@@ -1046,7 +1038,7 @@ class TestTraceHooks:
     def test_ic_pdf_sample_md_draws_each_row_once(self):
         import icsphere.cli  # noqa: F401  (loads every layer the tracer wraps)
 
-        spans = _load_spans()
+        spans = load_perfbench("spans")
         tracer = spans.Tracer()
         sites = spans.find_sites()
         model = moments.GaussianModel(mu=np.arange(3.0), cov=np.eye(3))
@@ -1068,7 +1060,7 @@ class TestTraceHooks:
         path = tmp_path / "panel.csv"
         write_panel_csv(path, business_days(datetime.date(2019, 6, 3), t),
                         [f"A{j}" for j in range(6)], matrix)
-        spans = _load_spans()
+        spans = load_perfbench("spans")
         tracer = spans.Tracer()
         sites = spans.find_sites()
         with spans.traced(tracer, sites):
@@ -1079,6 +1071,9 @@ class TestTraceHooks:
         names = [s.name for s in tracer.spans]
         assert names.count("empirical.standardize_panel") == 1
         assert names.count("empirical.rolling") == 1
+        # One eigensolve per window's scatter matrix, found where the
+        # benchmark wraps optimize.symmetric_eigen.
+        assert names.count("optimize.symmetric_eigen") == 3
         metrics = spans.layer_metrics(tracer)
         # The panel's rows, and one row for each window's mean direction.
         assert metrics["sphere.rows_in"] == t + 3

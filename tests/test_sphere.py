@@ -406,17 +406,17 @@ class TestHelmert:
 
 
 class TestJacobi:
-    """_linalg.eigh_sorted: LAPACK eigenpairs with the projector tie rule."""
+    """_linalg.symmetric_eigen: LAPACK eigenpairs with the projector tie rule."""
 
     def test_identity(self):
-        w, v = _linalg.eigh_sorted(np.eye(4))
+        w, v = _linalg.symmetric_eigen(np.eye(4))
         assert w == pytest.approx(np.ones(4))
         # one tie group whose projector is I: Gram-Schmidt returns I
         assert np.array_equal(v, np.eye(4))
 
     def test_centering_matrix_spectrum(self):
         n = 6
-        w, v = _linalg.eigh_sorted(sphere.centering_matrix(n))
+        w, v = _linalg.symmetric_eigen(sphere.centering_matrix(n))
         assert w[0] == pytest.approx(0.0, abs=1e-13)
         assert w[1:] == pytest.approx(np.ones(n - 1))
         # kernel eigenvector is the constant direction with positive sign
@@ -428,7 +428,7 @@ class TestJacobi:
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 20])
     def test_reconstruction(self, n):
         a = random_pd(n, np.random.default_rng(n))
-        w, v = _linalg.eigh_sorted(a)
+        w, v = _linalg.symmetric_eigen(a)
         recon = (v * w) @ v.T
         assert np.max(np.abs(recon - a)) <= 1e-12 * np.linalg.norm(a, "fro")
         assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
@@ -437,14 +437,14 @@ class TestJacobi:
     def test_matches_numpy_eigenvalues(self):
         for n in (1, 2, 12, 60):
             a = random_pd(n, np.random.default_rng(7 + n))
-            w, _ = _linalg.eigh_sorted(a)
+            w, _ = _linalg.symmetric_eigen(a)
             ref = np.linalg.eigvalsh(a)
             assert np.max(np.abs(w - ref)) <= 1e-12 * np.linalg.norm(a, "fro")
 
     def test_deterministic_signs(self):
         a = random_pd(5, np.random.default_rng(3))
-        _, v1 = _linalg.eigh_sorted(a)
-        _, v2 = _linalg.eigh_sorted(a.copy())
+        _, v1 = _linalg.symmetric_eigen(a)
+        _, v2 = _linalg.symmetric_eigen(a.copy())
         assert np.array_equal(v1, v2)
         lead = np.argmax(np.abs(v1), axis=0)
         assert np.all(v1[lead, np.arange(5)] > 0.0)
@@ -458,7 +458,7 @@ class TestJacobi:
         basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
         a = (basis * lam) @ basis.T
         a = 0.5 * (a + a.T)
-        w_ref, v_ref = _linalg.eigh_sorted(a)
+        w_ref, v_ref = _linalg.symmetric_eigen(a)
         groups = _linalg.tie_groups(w_ref, np.linalg.norm(a, "fro"))
         assert [hi - lo for lo, hi in groups] == [1, 3, 1, 4]
 
@@ -473,7 +473,7 @@ class TestJacobi:
                 return w, v
 
             monkeypatch.setattr(np.linalg, "eigh", rotated_eigh)
-            _, v = _linalg.eigh_sorted(a)
+            _, v = _linalg.symmetric_eigen(a)
             monkeypatch.undo()
             assert np.max(np.abs(v - v_ref)) <= 1e-12
 
@@ -483,7 +483,7 @@ class TestJacobi:
             mu=np.linspace(-0.5, 0.5, n) ** 3, sigma=0.4, rho=0.2
         )
         cov = moments.cov_chi_homoscedastic(model)
-        w, v = _linalg.eigh_sorted(cov)
+        w, v = _linalg.symmetric_eigen(cov)
         fro = np.linalg.norm(cov, "fro")
         assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
         assert np.max(np.abs((v * w) @ v.T - cov)) <= 1e-12 * fro
@@ -495,18 +495,18 @@ class TestJacobi:
         assert sizes == {n - 2}
 
     def test_one_by_one(self):
-        w, v = _linalg.eigh_sorted(np.array([[-2.5]]))
+        w, v = _linalg.symmetric_eigen(np.array([[-2.5]]))
         assert w.tolist() == [-2.5]
         assert v.tolist() == [[1.0]]
 
     def test_zero_matrix(self):
-        w, v = _linalg.eigh_sorted(np.zeros((4, 4)))
+        w, v = _linalg.symmetric_eigen(np.zeros((4, 4)))
         assert np.array_equal(w, np.zeros(4))
         assert np.array_equal(v, np.eye(4))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
-            _linalg.eigh_sorted(np.ones((2, 3)))
+            _linalg.symmetric_eigen(np.ones((2, 3)))
 
 
 class TestCholesky:
