@@ -39,7 +39,9 @@ def load_params(path, which: str) -> tuple[np.ndarray, np.ndarray]:
     verifies its sha256 sidecar. which is ten_base (mu10, sigma10),
     ten_hetero (mu10, sigma10 scaled by hetero_scale on both sides) or
     three (mu3, sigma3). A file holding mu or cov is a plain model: it
-    needs both, and they override which. Only the keys read are checked.
+    needs both, and they override ten_base and three; it has no
+    hetero_scale, so ten_hetero rejects it. Only the keys read are
+    checked.
     """
     if path == "":
         # Path("") is the working directory; name what the user gave.
@@ -72,6 +74,10 @@ def load_params(path, which: str) -> tuple[np.ndarray, np.ndarray]:
         return value.astype(np.float64)
 
     plain = "mu" in raw or "cov" in raw
+    if plain and which == "ten_hetero":
+        raise MalformedInputError(
+            "parameter file is a plain model (mu, cov), but ten_hetero needs "
+            "the bundled schema's mu10, sigma10 and hetero_scale")
     mu_key, cov_key = ("mu", "cov") if plain else _SELECTIONS[which]
     mu, cov = array(mu_key, 1), array(cov_key, 2)
     if which == "ten_hetero" and not plain:

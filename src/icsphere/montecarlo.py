@@ -202,10 +202,11 @@ def _validate_int(value: int, name: str, minimum: int | None = 1) -> int:
     return value
 
 
-def _block_rows(n: int) -> int:
+def _block_rows(n: int, transform: bool = True) -> int:
     """Rows per block of a streamed shard: the largest power of two with
-    at most _SHARD_BLOCK_VALUES values, or SHARD_ROWS (whole shards)
-    where blocks would not keep the draws' bits.
+    at most _SHARD_BLOCK_VALUES values (one row at least), or SHARD_ROWS
+    (whole shards) where blocks would not keep the bits of the draws'
+    transform; transform=False is for blocks that take no transform.
 
     A power of two divides SHARD_ROWS, so a full shard splits into equal
     blocks and only a partial shard's last block takes a remainder. The
@@ -216,9 +217,9 @@ def _block_rows(n: int) -> int:
     and beyond 8192 a block would hold under 16 rows, where small
     products changed bits too; those n keep whole shards.
     """
-    if n > 8192 or (n > 192 and n % 8):
+    if transform and (n > 8192 or (n > 192 and n % 8)):
         return SHARD_ROWS
-    return 1 << ((_SHARD_BLOCK_VALUES // n).bit_length() - 1)
+    return 1 << max((_SHARD_BLOCK_VALUES // n).bit_length() - 1, 0)
 
 
 def _shard_sources(count: int, stream: SeededStream):
@@ -231,9 +232,40 @@ def _shard_sources(count: int, stream: SeededStream):
         yield source, min(SHARD_ROWS, count - start)
 
 
+def _shard_blocks(n: int, count: int, step: int, stream: SeededStream):
+    """Each shard's standard normals in row blocks, shard by shard.
+
+    Returns the rows of the largest block and, per shard in order, an
+    iterator of its (b, n) blocks: max(rows // step, 1) of them, the last
+    taking the remainder, so no block is shorter than step rows unless
+    the shard is. Every block is taken into one normals buffer per call,
+    which the next block overwrites, and the shards share one source, so
+    a shard's blocks are used up before the next shard's.
+    """
+    def sizes(rows):
+        k = max(rows // step, 1)
+        return [step] * (k - 1) + [rows - (k - 1) * step]
+
+    # The largest block ends a full shard or the partial one.
+    largest = max(sizes(min(count, SHARD_ROWS))[-1], sizes(count % SHARD_ROWS)[-1])
+    normals = np.empty(largest * n)
+
+    def blocks(source, rows):
+        for b in sizes(rows):
+            yield source.take(b * n, normals).reshape(b, n)
+
+    return largest, (blocks(source, rows)
+                     for source, rows in _shard_sources(count, stream))
+
+
 def _map_shards(fn, n: int, count: int, stream: SeededStream) -> list:
-    """fn of each shard's (rows, n) standard normals, in shard order."""
-    return [fn(source.take(rows * n).reshape(rows, n))
+    """fn of each shard's (rows, n) standard normals, in shard order.
+
+    Every shard is taken into one normals buffer per call, which the
+    next shard overwrites, so fn must not keep g (or a view of it).
+    """
+    normals = np.empty(min(count, SHARD_ROWS) * n)
+    return [fn(source.take(rows * n, normals).reshape(rows, n))
             for source, rows in _shard_sources(count, stream)]
 
 
@@ -255,35 +287,25 @@ def _resultant(model: GaussianModel, count: int,
                stream: SeededStream) -> tuple[np.ndarray, int]:
     """Sum of the kept directions of count draws, and how many were kept.
 
-    Each shard is drawn, transformed, standardized and summed in
-    max(rows // step, 1) row blocks, step = _block_rows(n). The last
-    block takes the remainder, so no block is shorter than step rows
-    unless the shard is. A short tail product can change the draws'
-    bits: a 1-row one takes BLAS's gemv path, and an 8-row one changed
-    all 8 rows at n = 50. Blocks run through one normals buffer, which
-    each take fills exactly, and one workspace per call. A block's sum carries the sum of the blocks
+    Each shard is drawn, transformed, standardized and summed in the
+    row blocks of _shard_blocks, step = _block_rows(n). A short tail
+    product can change the draws' bits: a 1-row one takes BLAS's gemv
+    path, and an 8-row one changed all 8 rows at n = 50, so the last
+    block takes the remainder. Blocks run through one normals buffer and
+    one workspace per call. A block's sum carries the sum of the blocks
     before it, added into its first row, and sphere._column_sums adds
     the block's rows in order, so the shard's rows are added in order,
     in the bits of units.sum(axis=0) over the whole shard.
     """
     n = model.n
-    step = _block_rows(n)
-
-    def sizes(rows):
-        k = max(rows // step, 1)
-        return [step] * (k - 1) + [rows - (k - 1) * step]
-
-    # The largest block ends a full shard or the partial one.
-    largest = max(sizes(min(count, SHARD_ROWS))[-1], sizes(count % SHARD_ROWS)[-1])
-    normals = np.empty(largest * n)
+    largest, shards = _shard_blocks(n, count, _block_rows(n), stream)
     work = np.empty(largest * n)
     total = np.zeros(n)
     kept = 0
-    for source, rows in _shard_sources(count, stream):
+    for blocks in shards:
         vec = np.zeros(n)
         shard_kept = 0
-        for b in sizes(rows):
-            g = source.take(b * n, normals).reshape(b, n)
+        for g in blocks:
             units = _directions(model, g, work[:g.size].reshape(g.shape))
             if units.shape[0] == 0:
                 continue
@@ -421,13 +443,23 @@ class ProjectedMomentsMC:
 def projected_moments_mc(n: int, x: float, count: int,
                          stream: SeededStream) -> ProjectedMomentsMC:
     """Streaming MC check of the canonical mean varrho e_1 and covariance
-    diag(f, g, ..., g). Memory is O(n^2) regardless of count.
+    diag(f, g, ..., g).
 
-    Rows are normalized in place, in transposed L2-sized blocks whose
-    norms add in numpy's order (sphere._row_sums): every bit is that of
-    g / np.linalg.norm(g, axis=1)[:, None]. Rows of norm zero are dropped.
-    A shard's first moment adds its kept rows in order
-    (sphere._column_sums), in the bits of u.sum(axis=0).
+    Each shard streams in the row blocks of _shard_blocks, the largest
+    power of two of rows with at most 2^17 values (_block_rows with no
+    transform), through one normals buffer per call; memory is
+    O(block + n^2) whatever the count.
+
+    Within a block, rows are normalized in place, in transposed L2-sized
+    pieces whose norms add in numpy's order (sphere._row_sums): every bit
+    is that of g / np.linalg.norm(g, axis=1)[:, None]. Rows of norm zero
+    are dropped. A block's first moment carries the shard's running sum
+    in its first row, as _resultant does, so a shard's kept rows add in
+    order (sphere._column_sums): mean keeps the bits of u.sum(axis=0)
+    over whole shards. The second and fourth moments add u^T u and
+    (u*u)^T (u*u) block by block, so cov, se_mean and se_cov have the
+    bits of that order, which differ in the last places from whole-shard
+    products once a shard spans more than one block.
     """
     n = _validate_int(n, "n", minimum=None)
     if n < 2:
@@ -436,32 +468,40 @@ def projected_moments_mc(n: int, x: float, count: int,
         raise DomainError(f"need x >= 0, got {x!r}")
     count = _validate_int(count, "count", minimum=2)
     step = max(_ROW_BLOCK_VALUES // n, 1)
-
-    def shard_moments(g):
-        kept = np.empty(g.shape[0], dtype=bool)
-        for lo in range(0, g.shape[0], step):
-            t = g[lo:lo + step].T.copy()
-            t[0] += x
-            r = np.sqrt(_row_sums(t * t))
-            keep = np.greater(r, 0.0, out=kept[lo:lo + step])
-            if not keep.all():
-                r[~keep] = 1.0  # a zero row is dropped below, not divided
-            t /= r
-            g[lo:lo + step] = t.T
-        u = g if kept.all() else g[kept]
-        s1, m2 = _column_sums(u), u.T @ u
-        u *= u
-        return s1, m2, u.T @ u, u.shape[0]
-
+    _, shards = _shard_blocks(n, count, _block_rows(n, transform=False), stream)
     s1 = np.zeros(n)
     m2 = np.zeros((n, n))
     m4 = np.zeros((n, n))
     kept = 0
-    for a, b, c, rows in _map_shards(shard_moments, n, count, stream):
-        s1 += a
-        m2 += b
-        m4 += c
-        kept += rows
+    for blocks in shards:
+        vec = np.zeros(n)
+        shard_kept = 0
+        for g in blocks:
+            ok = np.empty(g.shape[0], dtype=bool)
+            for lo in range(0, g.shape[0], step):
+                t = g[lo:lo + step].T.copy()
+                t[0] += x
+                r = np.sqrt(_row_sums(t * t))
+                keep = np.greater(r, 0.0, out=ok[lo:lo + step])
+                if not keep.all():
+                    r[~keep] = 1.0  # a zero row is dropped below, not divided
+                t /= r
+                g[lo:lo + step] = t.T
+            u = g if ok.all() else g[ok]
+            if u.shape[0] == 0:
+                continue
+            m2 += u.T @ u
+            # The carry enters the first row for the sum only; m4 needs the row.
+            first = u[0].copy()
+            if shard_kept:
+                u[0] += vec
+            vec = _column_sums(u)
+            u[0] = first
+            shard_kept += u.shape[0]
+            u *= u
+            m4 += u.T @ u
+        s1 += vec
+        kept += shard_kept
     mean = s1 / kept
     raw2 = m2 / kept
     cov = raw2 - np.outer(mean, mean)

@@ -91,9 +91,14 @@ def kummer_m(a: float, b: float, z: float) -> float:
 
     At z < 0 the large-|z| expansion runs when it meets REL_TOL (see
     _expansion_terms); otherwise M(a, b, z) = e^z M(b - a, b, -z), whose
-    series has positive terms only. Summing the defining series directly
-    at z < 0 loses roughly |z| decimal digits to cancellation, so that
-    route is never taken.
+    series has positive terms only, and whose rounding of -z costs about
+    eps |z| relative error. The defining series summed directly at z < 0
+    alternates and loses eps times sum|t_k| / |M| to cancellation. That
+    ratio grows like e^|z| only where b << |z|, a loss of about
+    |z| / ln 10 decimal digits. Where b is large against |z| the terms
+    fall from the first: against mpmath the ratio was 1.2 to 16.6 for
+    varrho's M at (n, x) = (1000, 30), (10^4, 30) and (10^4, 60). The
+    direct route is not taken yet.
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise DomainError(f"kummer_m requires a > 0, got {a!r}")

@@ -393,8 +393,12 @@ class TestParamsFile:
          "key 'hetero_scale' has 2 entries for 'sigma10' of shape (10, 10)", HETERO),
         (bundled_with(hetero_scale=None),
          "lacks the key needed for ten_hetero: 'hetero_scale'", HETERO),
+        # A plain model has no hetero_scale; it must not run as the base model.
+        ('{"mu": [0.1, 0.2], "cov": [[1.0, 0.0], [0.0, 1.0]]}',
+         "plain model (mu, cov), but ten_hetero needs", HETERO),
     ], ids=["not_json", "list", "no_mu10", "ragged_cov", "string_in_mu",
-            "mu_without_cov", "hetero_scale_length", "no_hetero_scale"])
+            "mu_without_cov", "hetero_scale_length", "no_hetero_scale",
+            "plain_model_hetero"])
     def test_bad_file_exits_2(self, text, message, command, tmp_path, capsys):
         path = tmp_path / "params.json"
         path.write_text(text)

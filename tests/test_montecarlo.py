@@ -235,7 +235,9 @@ class TestShards:
 
     def test_split_counts(self):
         stream = mc.SeededStream(7)
-        shards = mc._map_shards(lambda g: g, 2, mc.SHARD_ROWS * 2 + 5, stream)
+        # Every shard is taken into one buffer, so fn copies what it keeps.
+        shards = mc._map_shards(lambda g: g.copy(), 2, mc.SHARD_ROWS * 2 + 5,
+                                stream)
         assert [g.shape for g in shards] == [(mc.SHARD_ROWS, 2)] * 2 + [(5, 2)]
         for i, g in enumerate(shards):
             want = mc._NormalSource(stream.shifted(i)).take(g.size)
@@ -412,30 +414,78 @@ def moments_digest(res):
 
 
 class TestProjectedMomentsMC:
-    # Frozen before the shard kernel moved to transposed row blocks. The
-    # cases reach each branch of sphere._row_sums (n < 8, 8 <= n <= 128,
-    # n > 128) and end on a partial shard and a partial block.
+    # mean frozen before the shard kernel moved to transposed row blocks;
+    # cov, se_mean and se_cov re-pinned when shards streamed in row blocks,
+    # whose BLAS products sum block by block. The cases reach each branch
+    # of sphere._row_sums (n < 8, 8 <= n <= 128, n > 128) and end on a
+    # partial shard and a partial block.
     @pytest.mark.parametrize("n,x,count,seed,digest", [
         (3, 1.0, 2 * mc.SHARD_ROWS + 777, 71, [
             "37e80eb0edfed332eb307add0acc231ee7e0adbf758b0fd1fcde33a600847b95",
-            "911bd1304a895151e542b06728a86108f9f911961bf16ca8909f0f3099b19b32",
-            "84d06d93075d30922a96d660a5f941849cbfd788385edae4e0a191ac01472e42",
-            "a84a885d1e7295a6b28ece3ccfbf21d9f78b77ed49d184fbd493d78c745c2760"]),
+            "44c96eb1de70bc96b4fdaf7cbad9730f3fca4c33ccea03935f9e7aad1348f9be",
+            "c5a0e484614f0df4b9316a21299603ce622df7fa076dcab2ec11dc543ba9699c",
+            "d54c9e55bf7d5a6bd0eab08ec2293e856f286bae1a3a48149c19a439d1eaf1a9"]),
         (9, 0.1288, mc.SHARD_ROWS + 5, 72, [
             "6cfb7177def6b7fcedadb6be44eec566494c08ca2f29aa928c9ddd19db0dfff4",
-            "592b5da9a862804072ab9294e7ab52364e26c54e10b60e116a6aad2c84a86d2e",
-            "89e6d29b89e3e77391e39758e490666832230408ec4f503c573e3f0d986979c0",
-            "db6b9d1c2be16b37352eac2878b6368fbe39e7de721fa9caebdade5ca077c0b7"]),
+            "fc3380a09fa2bcd715ba2fe4f904845a12223257f2a40cfa5c8f6a51cec150eb",
+            "78bb1cc25031eb34ccf9bfd43b2dd93953c18eaa6cdc307bf56b16e5a362cf82",
+            "0e1e3dd24db41b35be6b6ecb38d0af914610313ffe7901c045a0eca06669122a"]),
         (200, 5.0, 5000, 73, [
             "5124b2b79e9728ca8e8e792d4801eed5db21b56fbd64a80950b4ad22fd5ac3bf",
-            "3c6041df0e21194e5a4fa7b9478d5205b7445b47a32147f32a2c79714a440f8f",
-            "fa9646bf8e061ad96278929f1eb2cf7ed91348ab3500adfc93f2488e2c23825a",
-            "74a74b41506e7a707b026cdabea54cc287d84ab05b24b404d7b2060ed25ab36c"]),
+            "f720a06ffa50865d360e8cb5c94d7855351fcf8c5022e3466d64f1e97a77c84f",
+            "848461dc578ae861e019b9820b30bf79c1ea0fe9c39b68e1a08980418ea77364",
+            "aa8a3307e909e96251861f3916ad0c423a3436948439d3f0fdc1c15d0f51a48d"]),
     ], ids=["n3", "n9", "n200"])
     def test_frozen_bits(self, n, x, count, seed, digest):
         res = mc.projected_moments_mc(n, x, count, mc.SeededStream(seed=seed))
         assert res.count == count
         assert moments_digest(res) == digest
+
+    @pytest.mark.parametrize("n,x", [(3, 1.0), (9, 0.1288)])
+    def test_matches_whole_sample_reference(self, n, x):
+        # The same normals, normalized and reduced by plain numpy over the
+        # whole sample. mean adds each shard's rows in order, then the
+        # shard sums, in every bit; the BLAS products sum block by block,
+        # so the rest agree to rounding, relative to each output's
+        # largest entry (an off-diagonal cov entry is a small difference).
+        count = 2 * mc.SHARD_ROWS + 777
+        stream = mc.SeededStream(seed=80 + n)
+        res = mc.projected_moments_mc(n, x, count, stream)
+        shards = []
+        for i, start in enumerate(range(0, count, mc.SHARD_ROWS)):
+            rows = min(mc.SHARD_ROWS, count - start)
+            g = mc._NormalSource(stream.shifted(i)).take(rows * n).reshape(rows, n)
+            g[:, 0] += x
+            shards.append(g / np.linalg.norm(g, axis=1)[:, None])
+        mean = sum(u.sum(axis=0) for u in shards) / count
+        u = np.vstack(shards)
+        raw2 = u.T @ u / count
+        u *= u
+        want = {
+            "cov": raw2 - np.outer(mean, mean),
+            "se_mean": np.sqrt(np.clip(np.diag(raw2) - mean ** 2, 0.0, None) / count),
+            "se_cov": np.sqrt(np.clip(u.T @ u / count - raw2 ** 2, 0.0, None) / count),
+        }
+        assert res.count == count
+        assert np.array_equal(res.mean, mean)
+        for name, ref in want.items():
+            err = np.max(np.abs(getattr(res, name) - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref)), name
+
+    @pytest.mark.parametrize("n,x,count,bound", [
+        (9, 0.1288, 1 << 18, 2.5),
+        (200, 5.0, mc.SHARD_ROWS + 5, 4.5),
+    ], ids=["n9", "n200"])
+    def test_memory_is_one_block(self, n, x, count, bound):
+        # Shards stream in row blocks of at most 2^17 values through one
+        # normals buffer: 6.0 and 102 MiB when each shard was held whole.
+        tracemalloc.start()
+        try:
+            mc.projected_moments_mc(n, x, count, mc.SeededStream(seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2 ** 20
 
     def test_zero_row_dropped_without_warning(self, monkeypatch):
         n = 5
@@ -810,12 +860,13 @@ class TestThreadIndependence:
         stream = mc.SeededStream(seed=62)
         a = mc.projected_moments_mc(4, 0.7, self.COUNT, stream)
         assert a.count == self.COUNT
-        # Frozen before the shard kernel moved to transposed row blocks.
+        # mean frozen before the shard kernel moved to transposed row
+        # blocks; the rest re-pinned when shards streamed in row blocks.
         assert moments_digest(a) == [
             "a718e8b8d5219417dde00f346f44c38aa6f3deb0dfbb29dd3b3cbe4a29635be5",
-            "9c3645240c07bdba5591f350a2c1a83cddc18cdec089728793a8abe6d32e06d0",
-            "d37ca521997b2708dccc9b98a9a127eb2dd9d376b54117a1332a893682a7335a",
-            "3cbbd2e97be3408285ae2b11d8a084643c1ccd2b596f297c2555d61511f3d9d9"]
+            "accffcb06b79928c80301317fde1337c96c0184bfbaff45a1c7549996dfaa1dc",
+            "df477d4293fbbe8f62f656b512dc9d3225d2edc79b899b8d43a94d54ac18a4fe",
+            "ba9a5f1ab0514fb5e369c46d96bc1e05a3ea8df043894acc4a6d8f5bd6c2ff2c"]
 
     def test_md_perturbation_experiment(self):
         stream = mc.SeededStream(seed=63)
