@@ -202,11 +202,10 @@ def _validate_int(value: int, name: str, minimum: int | None = 1) -> int:
     return value
 
 
-def _block_rows(n: int, transform: bool = True) -> int:
+def _block_rows(n: int) -> int:
     """Rows per block of a streamed shard: the largest power of two with
-    at most _SHARD_BLOCK_VALUES values (one row at least), or SHARD_ROWS
-    (whole shards) where blocks would not keep the bits of the draws'
-    transform; transform=False is for blocks that take no transform.
+    at most _SHARD_BLOCK_VALUES values, or SHARD_ROWS (whole shards)
+    where blocks would not keep the draws' bits.
 
     A power of two divides SHARD_ROWS, so a full shard splits into equal
     blocks and only a partial shard's last block takes a remainder. The
@@ -217,9 +216,9 @@ def _block_rows(n: int, transform: bool = True) -> int:
     and beyond 8192 a block would hold under 16 rows, where small
     products changed bits too; those n keep whole shards.
     """
-    if transform and (n > 8192 or (n > 192 and n % 8)):
+    if n > 8192 or (n > 192 and n % 8):
         return SHARD_ROWS
-    return 1 << max((_SHARD_BLOCK_VALUES // n).bit_length() - 1, 0)
+    return 1 << ((_SHARD_BLOCK_VALUES // n).bit_length() - 1)
 
 
 def _shard_sources(count: int, stream: SeededStream):
@@ -259,13 +258,8 @@ def _shard_blocks(n: int, count: int, step: int, stream: SeededStream):
 
 
 def _map_shards(fn, n: int, count: int, stream: SeededStream) -> list:
-    """fn of each shard's (rows, n) standard normals, in shard order.
-
-    Every shard is taken into one normals buffer per call, which the
-    next shard overwrites, so fn must not keep g (or a view of it).
-    """
-    normals = np.empty(min(count, SHARD_ROWS) * n)
-    return [fn(source.take(rows * n, normals).reshape(rows, n))
+    """fn of each shard's (rows, n) standard normals, in shard order."""
+    return [fn(source.take(rows * n).reshape(rows, n))
             for source, rows in _shard_sources(count, stream)]
 
 
@@ -445,10 +439,11 @@ def projected_moments_mc(n: int, x: float, count: int,
     """Streaming MC check of the canonical mean varrho e_1 and covariance
     diag(f, g, ..., g).
 
-    Each shard streams in the row blocks of _shard_blocks, the largest
-    power of two of rows with at most 2^17 values (_block_rows with no
-    transform), through one normals buffer per call; memory is
-    O(block + n^2) whatever the count.
+    Each shard streams in the row blocks of _shard_blocks, step =
+    _block_rows(n), through one normals buffer per call, so memory is
+    O(block + n^2) whatever the count. The n at which _block_rows keeps
+    whole shards (n > 8192, or n > 192 and not a multiple of 8) stay
+    O(shard + n^2).
 
     Within a block, rows are normalized in place, in transposed L2-sized
     pieces whose norms add in numpy's order (sphere._row_sums): every bit
@@ -468,7 +463,7 @@ def projected_moments_mc(n: int, x: float, count: int,
         raise DomainError(f"need x >= 0, got {x!r}")
     count = _validate_int(count, "count", minimum=2)
     step = max(_ROW_BLOCK_VALUES // n, 1)
-    _, shards = _shard_blocks(n, count, _block_rows(n, transform=False), stream)
+    _, shards = _shard_blocks(n, count, _block_rows(n), stream)
     s1 = np.zeros(n)
     m2 = np.zeros((n, n))
     m4 = np.zeros((n, n))

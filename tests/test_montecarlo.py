@@ -235,9 +235,7 @@ class TestShards:
 
     def test_split_counts(self):
         stream = mc.SeededStream(7)
-        # Every shard is taken into one buffer, so fn copies what it keeps.
-        shards = mc._map_shards(lambda g: g.copy(), 2, mc.SHARD_ROWS * 2 + 5,
-                                stream)
+        shards = mc._map_shards(lambda g: g, 2, mc.SHARD_ROWS * 2 + 5, stream)
         assert [g.shape for g in shards] == [(mc.SHARD_ROWS, 2)] * 2 + [(5, 2)]
         for i, g in enumerate(shards):
             want = mc._NormalSource(stream.shifted(i)).take(g.size)
