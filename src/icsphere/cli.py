@@ -227,10 +227,10 @@ def _cmd_simulate_md_perturb(args) -> int:
     except ValueError:
         raise MalformedInputError(
             f"--factors is not a list of numbers: {args.factors!r}") from None
+    base = standardize(mu).coords
     stream = montecarlo.SeededStream(args.seed)
     points = montecarlo.md_perturbation_experiment(
         mu, cov, args.axis, factors, args.count, stream)
-    base = standardize(mu).coords
     n = len(mu)
     header = ["factor", "mrl"] + [f"md_{i + 1}" for i in range(n)] + ["angle_to_base_deg"]
     rows = []
@@ -326,27 +326,29 @@ def _cmd_empirical(args) -> int:
                 f"--iota has {iota.dim} components, panel has {panel.n}"
             )
 
-    out = _Output(args)
-    window_labels = []
-    iso_dates = [d.isoformat() for d in panel.dates]
+    # Every artifact is computed before the first is written, so a run
+    # that fails leaves no output.
+    windows = []
     for label, rows in _parse_windows(args.windows, panel):
         sub = spanel.restrict(rows)
-        report = emp.window_report(sub, label, iota=iota)
+        windows.append((label, sub.kept, emp.window_report(sub, label, iota=iota)))
+    corr = emp.correlation_summary(panel.returns[spanel.kept],
+                                   spanel.sample.matrix)
+    series = (None if args.rolling is None
+              else emp.rolling_mrl_cssd(spanel, window=args.rolling))
+
+    out = _Output(args)
+    iso_dates = [d.isoformat() for d in panel.dates]
+    for label, kept, report in windows:
         out.json(f"window_{label}.json", report.to_json_dict())
         out.csv(f"scatter_spectrum_{label}.csv", ["rank", "eigenvalue"],
                 [(i + 1, float(v)) for i, v in
                  enumerate(report.scatter_eigenvalues)])
         out.csv(f"projected_{label}.csv", ["date", "value"],
-                zip(itertools.compress(iso_dates, sub.kept),
+                zip(itertools.compress(iso_dates, kept),
                     report.projected_series.tolist()))
-        window_labels.append(label)
-
-    corr = emp.correlation_summary(panel.returns[spanel.kept],
-                                   spanel.sample.matrix)
     out.json("correlations.json", corr)
-
-    if args.rolling is not None:
-        series = emp.rolling_mrl_cssd(spanel, window=args.rolling)
+    if series is not None:
         out.csv("rolling.csv", ["date", "mrl", "cssd"],
                 [(d.isoformat(), "" if math.isnan(m) else m, c)
                  for d, m, c in series])
@@ -359,7 +361,7 @@ def _cmd_empirical(args) -> int:
         "filled_cells": panel.filled_cells,
         "dropped_rows": panel.dropped_rows,
         "degenerate_rows": spanel.dropped_degenerate,
-        "windows": window_labels,
+        "windows": [label for label, _, _ in windows],
         "missing_policy": args.missing_policy,
         "iota": args.iota,
     }
@@ -367,7 +369,7 @@ def _cmd_empirical(args) -> int:
     out.manifest()
     sys.stdout.write(
         f"empirical: {panel.t} rows x {panel.n} assets, "
-        f"{len(window_labels)} windows, "
+        f"{len(windows)} windows, "
         f"{spanel.dropped_degenerate} degenerate rows\n"
     )
     return EXIT_OK

@@ -231,16 +231,19 @@ def _shard_sources(count: int, stream: SeededStream):
         yield source, min(SHARD_ROWS, count - start)
 
 
-def _shard_blocks(n: int, count: int, step: int, stream: SeededStream):
+def _shard_blocks(n: int, count: int, stream: SeededStream):
     """Each shard's standard normals in row blocks, shard by shard.
 
     Returns the rows of the largest block and, per shard in order, an
-    iterator of its (b, n) blocks: max(rows // step, 1) of them, the last
-    taking the remainder, so no block is shorter than step rows unless
-    the shard is. Every block is taken into one normals buffer per call,
-    which the next block overwrites, and the shards share one source, so
-    a shard's blocks are used up before the next shard's.
+    iterator of its (b, n) blocks: max(rows // step, 1) of them, step =
+    _block_rows(n), the last taking the remainder, so no block is shorter
+    than step rows unless the shard is. Every block is taken into one
+    normals buffer per call, which the next block overwrites, and the
+    shards share one source, so a shard's blocks are used up before the
+    next shard's.
     """
+    step = _block_rows(n)
+
     def sizes(rows):
         k = max(rows // step, 1)
         return [step] * (k - 1) + [rows - (k - 1) * step]
@@ -255,6 +258,33 @@ def _shard_blocks(n: int, count: int, step: int, stream: SeededStream):
 
     return largest, (blocks(source, rows)
                      for source, rows in _shard_sources(count, stream))
+
+
+def _kept_blocks(shards, units, total: np.ndarray):
+    """Yield units(g), the kept rows of each block g of _shard_blocks'
+    shards, skipping blocks that keep none; add each shard's sum of
+    them to total, in shard order.
+
+    The one whole-shard-sum rule of the streamed kernels: a block's sum
+    starts from the sum of the shard's blocks before it, added into its
+    first row, and sphere._column_sums adds the block's rows in order
+    from +0.0, so a shard's kept rows are added in order, in the bits of
+    units.sum(axis=0) over the whole shard. At a shard's start the carry
+    is +0.0, which changes no bit of the sum. The first row is restored
+    before the block is yielded; the caller may then overwrite the block.
+    """
+    for blocks in shards:
+        vec = np.zeros(total.shape)
+        for g in blocks:
+            u = units(g)
+            if u.shape[0] == 0:
+                continue
+            first = u[0].copy()
+            u[0] += vec
+            vec = _column_sums(u)
+            u[0] = first
+            yield u
+        total += vec
 
 
 def _map_shards(fn, n: int, count: int, stream: SeededStream) -> list:
@@ -272,8 +302,10 @@ def _draws(model: GaussianModel, g: np.ndarray, out=None) -> np.ndarray:
 
 def _directions(model: GaussianModel, g: np.ndarray, out=None) -> np.ndarray:
     """Directions of the draws g L^T + mu; degenerate rows are dropped.
-    With out (g's shape), the draws and then the directions go there."""
-    units, _ = standardize_rows(_draws(model, g, out), out=out)
+    The draws go into out (g's shape) if given, else a new array, and
+    the directions then overwrite them there."""
+    y = _draws(model, g, out)
+    units, _ = standardize_rows(y, out=y)
     return units
 
 
@@ -281,34 +313,22 @@ def _resultant(model: GaussianModel, count: int,
                stream: SeededStream) -> tuple[np.ndarray, int]:
     """Sum of the kept directions of count draws, and how many were kept.
 
-    Each shard is drawn, transformed, standardized and summed in the
-    row blocks of _shard_blocks, step = _block_rows(n). A short tail
-    product can change the draws' bits: a 1-row one takes BLAS's gemv
-    path, and an 8-row one changed all 8 rows at n = 50, so the last
-    block takes the remainder. Blocks run through one normals buffer and
-    one workspace per call. A block's sum carries the sum of the blocks
-    before it, added into its first row, and sphere._column_sums adds
-    the block's rows in order, so the shard's rows are added in order,
-    in the bits of units.sum(axis=0) over the whole shard.
+    Each shard is drawn, transformed and standardized in the row blocks
+    of _shard_blocks, through one normals buffer and one workspace per
+    call, and summed by _kept_blocks. A short tail product can change
+    the draws' bits: a 1-row one takes BLAS's gemv path, and an 8-row
+    one changed all 8 rows at n = 50, so the last block takes the
+    remainder.
     """
     n = model.n
-    largest, shards = _shard_blocks(n, count, _block_rows(n), stream)
+    largest, shards = _shard_blocks(n, count, stream)
     work = np.empty(largest * n)
+
+    def units(g):
+        return _directions(model, g, work[:g.size].reshape(g.shape))
+
     total = np.zeros(n)
-    kept = 0
-    for blocks in shards:
-        vec = np.zeros(n)
-        shard_kept = 0
-        for g in blocks:
-            units = _directions(model, g, work[:g.size].reshape(g.shape))
-            if units.shape[0] == 0:
-                continue
-            if shard_kept:
-                units[0] += vec
-            vec = _column_sums(units)
-            shard_kept += units.shape[0]
-        total += vec
-        kept += shard_kept
+    kept = sum(len(u) for u in _kept_blocks(shards, units, total))
     return total, kept
 
 
@@ -412,8 +432,8 @@ def estimate_chi_mrl(model: GaussianModel, count: int, stream: SeededStream) -> 
     n <= 192 or at a multiple of 8 up to 8192. At other n, where blocks
     changed the draws' bits, _block_rows keeps whole shards, O(shard).
     The sum adds the kept directions in row order within each shard and
-    the shard sums in shard order, which gives the bits of whole-shard
-    sums (README, determinism contract).
+    the shard sums in shard order (_kept_blocks), which gives the bits
+    of whole-shard sums (README, determinism contract).
     """
     count = _validate_int(count, "count")
     total, kept = _resultant(model, count, stream)
@@ -439,22 +459,20 @@ def projected_moments_mc(n: int, x: float, count: int,
     """Streaming MC check of the canonical mean varrho e_1 and covariance
     diag(f, g, ..., g).
 
-    Each shard streams in the row blocks of _shard_blocks, step =
-    _block_rows(n), through one normals buffer per call, so memory is
-    O(block + n^2) whatever the count. The n at which _block_rows keeps
-    whole shards (n > 8192, or n > 192 and not a multiple of 8) stay
-    O(shard + n^2).
+    Each shard streams in the row blocks of _shard_blocks through one
+    normals buffer per call, so memory is O(block + n^2) whatever the
+    count. The n at which _block_rows keeps whole shards (n > 8192, or
+    n > 192 and not a multiple of 8) stay O(shard + n^2).
 
     Within a block, rows are normalized in place, in transposed L2-sized
     pieces whose norms add in numpy's order (sphere._row_sums): every bit
     is that of g / np.linalg.norm(g, axis=1)[:, None]. Rows of norm zero
-    are dropped. A block's first moment carries the shard's running sum
-    in its first row, as _resultant does, so a shard's kept rows add in
-    order (sphere._column_sums): mean keeps the bits of u.sum(axis=0)
-    over whole shards. The second and fourth moments add u^T u and
-    (u*u)^T (u*u) block by block, so cov, se_mean and se_cov have the
-    bits of that order, which differ in the last places from whole-shard
-    products once a shard spans more than one block.
+    are dropped. The first moment is summed by _kept_blocks, so mean
+    keeps the bits of u.sum(axis=0) over whole shards. The second and
+    fourth moments add u^T u and (u*u)^T (u*u) block by block, so cov,
+    se_mean and se_cov have the bits of that order, which differ in the
+    last places from whole-shard products once a shard spans more than
+    one block.
     """
     n = _validate_int(n, "n", minimum=None)
     if n < 2:
@@ -463,40 +481,30 @@ def projected_moments_mc(n: int, x: float, count: int,
         raise DomainError(f"need x >= 0, got {x!r}")
     count = _validate_int(count, "count", minimum=2)
     step = max(_ROW_BLOCK_VALUES // n, 1)
-    _, shards = _shard_blocks(n, count, _block_rows(n), stream)
+
+    def units(g):
+        ok = np.empty(g.shape[0], dtype=bool)
+        for lo in range(0, g.shape[0], step):
+            t = g[lo:lo + step].T.copy()
+            t[0] += x
+            r = np.sqrt(_row_sums(t * t))
+            keep = np.greater(r, 0.0, out=ok[lo:lo + step])
+            if not keep.all():
+                r[~keep] = 1.0  # a zero row is dropped below, not divided
+            t /= r
+            g[lo:lo + step] = t.T
+        return g if ok.all() else g[ok]
+
+    _, shards = _shard_blocks(n, count, stream)
     s1 = np.zeros(n)
     m2 = np.zeros((n, n))
     m4 = np.zeros((n, n))
     kept = 0
-    for blocks in shards:
-        vec = np.zeros(n)
-        shard_kept = 0
-        for g in blocks:
-            ok = np.empty(g.shape[0], dtype=bool)
-            for lo in range(0, g.shape[0], step):
-                t = g[lo:lo + step].T.copy()
-                t[0] += x
-                r = np.sqrt(_row_sums(t * t))
-                keep = np.greater(r, 0.0, out=ok[lo:lo + step])
-                if not keep.all():
-                    r[~keep] = 1.0  # a zero row is dropped below, not divided
-                t /= r
-                g[lo:lo + step] = t.T
-            u = g if ok.all() else g[ok]
-            if u.shape[0] == 0:
-                continue
-            m2 += u.T @ u
-            # The carry enters the first row for the sum only; m4 needs the row.
-            first = u[0].copy()
-            if shard_kept:
-                u[0] += vec
-            vec = _column_sums(u)
-            u[0] = first
-            shard_kept += u.shape[0]
-            u *= u
-            m4 += u.T @ u
-        s1 += vec
-        kept += shard_kept
+    for u in _kept_blocks(shards, units, s1):
+        kept += len(u)
+        m2 += u.T @ u
+        u *= u
+        m4 += u.T @ u
     mean = s1 / kept
     raw2 = m2 / kept
     cov = raw2 - np.outer(mean, mean)
@@ -628,7 +636,7 @@ def ic_distribution(model: GaussianModel, theta_mode: str, count: int,
     bytes) until their resultant fixes theta, then projects each shard.
     The resultant adds each shard's directions in row order
     (sphere._column_sums) and the shard sums in shard order, as
-    _resultant does.
+    _kept_blocks does.
     Returns the density estimate and the raw projections.
     """
     if theta_mode not in ("chi_mu", "sample_md"):

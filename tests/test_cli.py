@@ -539,6 +539,27 @@ class TestSimulateMdPerturb:
         assert "--factors" in err
         assert not (tmp_path / "bad").exists()
 
+    def test_constant_mean_exits_1_before_drawing(self, monkeypatch, tmp_path,
+                                                  capsys):
+        # The base direction is checked before any factor's draws.
+        def experiment(*args):
+            raise AssertionError("md-perturb drew for a constant mean")
+
+        monkeypatch.setattr(cli.montecarlo, "md_perturbation_experiment",
+                            experiment)
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"mu": [0.1, 0.1, 0.1],
+                                      "cov": np.eye(3).tolist()}))
+        code, out, err = run(
+            ["simulate", "md-perturb", "--axis", "mu1", "--factors", "1,2",
+             "--params", str(params), "--count", "2000000",
+             "--output-dir", str(tmp_path / "md")],
+            capsys,
+        )
+        assert code == 1, err
+        assert out == ""
+        assert not (tmp_path / "md").exists()
+
 
 class TestEmpirical:
     def test_yearly_pipeline(self, five_year_panel_csv, tmp_path, capsys):
@@ -661,6 +682,29 @@ class TestEmpirical:
         assert code == 2
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize("rows,extra,message", [
+        (2, (), "need at least 3 rows"),
+        (40, ("--rolling", "100"), "window 100 exceeds the panel length 40"),
+    ], ids=["correlations", "rolling"])
+    def test_late_failure_writes_nothing(self, rows, extra, message, tmp_path,
+                                         capsys):
+        # Every artifact is computed before any is written, so a run that
+        # fails on its correlations or rolling series leaves no window
+        # artifacts behind without a manifest.
+        path = tmp_path / "short.csv"
+        write_panel_csv(path, business_days(datetime.date(2020, 1, 2), rows),
+                        [f"C{j}" for j in range(5)],
+                        one_factor_returns(rows, 5, seed=28))
+        code, out, err = run(
+            ["empirical", "--input", str(path), *extra,
+             "--output-dir", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 2
+        assert message in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_oversized_rolling_window(self, five_year_panel_csv, tmp_path, capsys):
         code, _, _ = run(
