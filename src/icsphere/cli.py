@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Four subcommands (moments, simulate, empirical, oracle) plus rerun.
-Every artifact-producing run writes a manifest.json capturing the
-normalized argument vector, the seed, and the sha256 of each artifact;
-rerunning a manifest reproduces the artifacts bit for bit.
+Each command writes its artifacts through the one _Output that main
+passes it and returns its exit code. After the command returns, main
+writes a manifest.json of whatever it wrote (oracle's report too when
+a check fails and it returns 4): the normalized argument vector, the
+seed, and the sha256 of each artifact. Rerunning a manifest reproduces
+the artifacts bit for bit.
 
 Exit codes: 0 success, 1 degenerate input, 2 usage or model error,
 3 convergence or sampling failure, 4 oracle mismatch.
@@ -48,10 +51,6 @@ EXIT_DEGENERATE = 1
 EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
 EXIT_ORACLE = 4
-
-
-class OracleFailure(RuntimeError):
-    """An oracle suite found a disagreement beyond tolerance."""
 
 
 # ---------------------------------------------------------------- helpers
@@ -122,20 +121,21 @@ def _manifest_argv(args) -> list[str]:
 
 class _Output:
     """A run's --output-dir. Each artifact is written from its text, and
-    the sha256 of the bytes written goes to manifest.json. Every
-    artifact is ASCII, so its bytes are its UTF-8 text."""
+    the sha256 of the bytes written goes to manifest.json, which main
+    writes once the command returns. Every artifact is ASCII, so its
+    bytes are its UTF-8 text."""
 
     def __init__(self, args):
         self.args = args
-        self.dir = Path(args.output_dir)
         self.hashes: dict[str, str] = {}
 
     def text(self, name: str, text: str) -> None:
         data = text.encode()
+        path = Path(self.args.output_dir)
         try:
             if not self.hashes:  # the first write makes the directory
-                self.dir.mkdir(parents=True, exist_ok=True)
-            (self.dir / name).write_bytes(data)
+                path.mkdir(parents=True, exist_ok=True)
+            (path / name).write_bytes(data)
         except OSError as exc:
             raise MalformedInputError(f"unusable --output-dir: {exc}") from None
         self.hashes[name] = hashlib.sha256(data).hexdigest()
@@ -162,7 +162,7 @@ class _Output:
 # ---------------------------------------------------------------- moments
 
 
-def _cmd_moments(args) -> int:
+def _cmd_moments(args, out: _Output) -> int:
     mu = _parse_vector(args.mu, "--mu")
     model = moments.HomoscedasticModel(mu=mu, sigma=args.sigma, rho=args.rho)
     summary = moments.md_mrl_homoscedastic(model)
@@ -181,23 +181,20 @@ def _cmd_moments(args) -> int:
     text = _json_text(payload)
     sys.stdout.write(text)
     if args.output_dir is not None:
-        out = _Output(args)
         out.text("moments.json", text)
-        out.manifest()
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- simulate
 
 
-def _cmd_simulate_ic_pdf(args) -> int:
+def _cmd_simulate_ic_pdf(args, out: _Output) -> int:
     which = "ten_hetero" if args.variant == "hetero" else "ten_base"
     mu, cov = fixtures.load_params(args.params and args.params.removeprefix("@"), which)
     model = moments.GaussianModel(mu, cov)
     stream = montecarlo.SeededStream(args.seed)
     density, values = montecarlo.ic_distribution(
         model, args.mode, args.count, stream, bandwidth=args.bandwidth)
-    out = _Output(args)
     out.csv("ic_pdf_density.csv", ["t", "density"],
             zip(density.grid.tolist(), density.density.tolist()))
     summary = {
@@ -212,7 +209,6 @@ def _cmd_simulate_ic_pdf(args) -> int:
         "max": float(values.max()),
     }
     out.json("ic_pdf_summary.json", summary)
-    out.manifest()
     sys.stdout.write(
         f"ic-pdf: {values.size} projections, mean {summary['mean']:.6f}, "
         f"sd {summary['sd']:.6f}\n"
@@ -220,7 +216,7 @@ def _cmd_simulate_ic_pdf(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate_md_perturb(args) -> int:
+def _cmd_simulate_md_perturb(args, out: _Output) -> int:
     mu, cov = fixtures.load_params(args.params and args.params.removeprefix("@"), "three")
     try:
         factors = [float(f) for f in args.factors.split(",") if f.strip() != ""]
@@ -239,14 +235,12 @@ def _cmd_simulate_md_perturb(args) -> int:
         rows.append([pt.factor, pt.mrl]
                     + [float(v) for v in pt.md.coords]
                     + [math.degrees(math.acos(cosang))])
-    out = _Output(args)
     out.csv("md_perturb.csv", header, rows)
-    out.manifest()
     sys.stdout.write(f"md-perturb: {len(points)} factors along {args.axis}\n")
     return EXIT_OK
 
 
-def _cmd_simulate_mrl_check(args) -> int:
+def _cmd_simulate_mrl_check(args, out: _Output) -> int:
     mu, cov = fixtures.load_params(args.params and args.params.removeprefix("@"), "ten_base")
     model = moments.GaussianModel(mu, cov)
     n = model.n
@@ -281,9 +275,7 @@ def _cmd_simulate_mrl_check(args) -> int:
         "bracket": bracket,
         "mc_within_bracket": bool(bracket[0] <= mc <= bracket[1]),
     }
-    out = _Output(args)
     out.json("mrl_check.json", payload)
-    out.manifest()
     sys.stdout.write(
         f"mrl-check: closed-form {closed:.4f} | mc {mc:.4f} "
         f"(count {args.count})\n"
@@ -315,7 +307,7 @@ def _parse_windows(spec: str, panel: emp.ReturnPanel) -> list[tuple[str, np.ndar
     )
 
 
-def _cmd_empirical(args) -> int:
+def _cmd_empirical(args, out: _Output) -> int:
     panel = emp.load_panel(args.input, missing_policy=args.missing_policy)
     spanel = emp.standardize_panel(panel)
     iota = None
@@ -337,7 +329,6 @@ def _cmd_empirical(args) -> int:
     series = (None if args.rolling is None
               else emp.rolling_mrl_cssd(spanel, window=args.rolling))
 
-    out = _Output(args)
     iso_dates = [d.isoformat() for d in panel.dates]
     for label, kept, report in windows:
         out.json(f"window_{label}.json", report.to_json_dict())
@@ -366,7 +357,6 @@ def _cmd_empirical(args) -> int:
         "iota": args.iota,
     }
     out.json("empirical_summary.json", info)
-    out.manifest()
     sys.stdout.write(
         f"empirical: {panel.t} rows x {panel.n} assets, "
         f"{len(windows)} windows, "
@@ -421,12 +411,11 @@ def _oracle_cov(checks: list, count: int, seed: int) -> None:
         ))
 
 
-def _oracle_optimize(checks: list, count: int, seed: int) -> None:
+def _optimize_failure(seed: int) -> str:
+    """The first failure of the homoscedastic optimize trials, or ''."""
     import random
 
     rng = random.Random(seed)
-    all_ok = True
-    detail = ""
     for trial in range(10):
         n = rng.randint(3, 12)
         mu = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
@@ -441,15 +430,11 @@ def _oracle_optimize(checks: list, count: int, seed: int) -> None:
         cov = moments.cov_chi_homoscedastic(model)
         res = optimize.min_variance(cov)
         if abs(res.value - min(f, g)) > 1e-10:
-            all_ok = False
-            detail = f"trial {trial}: min-variance value off by {abs(res.value - min(f, g)):.2e}"
-            break
+            return f"trial {trial}: min-variance value off by {abs(res.value - min(f, g)):.2e}"
         if f < g:
             align = abs(float(res.theta_star.coords @ standardize(mu).coords))
             if abs(align - 1.0) > 1e-8:
-                all_ok = False
-                detail = f"trial {trial}: minimizer misaligned ({align:.12f})"
-                break
+                return f"trial {trial}: minimizer misaligned ({align:.12f})"
         lam_results = [
             optimize.mean_variance_homoscedastic(model, lam)
             for lam in (0.0, 1.0, math.inf)
@@ -457,13 +442,16 @@ def _oracle_optimize(checks: list, count: int, seed: int) -> None:
         coords = [r.theta_star.coords for r in lam_results]
         if not (np.array_equal(coords[0], coords[1])
                 and np.array_equal(coords[1], coords[2])):
-            all_ok = False
-            detail = f"trial {trial}: penalty level changed the maximizer"
-            break
-    checks.append(("optimize.homoscedastic_suite", all_ok, detail or "10 trials"))
+            return f"trial {trial}: penalty level changed the maximizer"
+    return ""
 
 
-def _cmd_oracle(args) -> int:
+def _oracle_optimize(checks: list, count: int, seed: int) -> None:
+    detail = _optimize_failure(seed)
+    checks.append(("optimize.homoscedastic_suite", not detail, detail or "10 trials"))
+
+
+def _cmd_oracle(args, out: _Output) -> int:
     checks: list[tuple[str, bool, str]] = []
     if args.suite in ("specfun", "all"):
         _oracle_specfun(checks, args.count, args.seed)
@@ -477,26 +465,25 @@ def _cmd_oracle(args) -> int:
     failed = [name for name, ok, _ in checks if not ok]
 
     if args.output_dir is not None:
-        out = _Output(args)
-        report = {
+        out.json("oracle_report.json", {
             "suite": args.suite,
             "count": args.count,
             "seed": args.seed,
             "checks": [
                 {"name": n, "ok": ok, "detail": d} for n, ok, d in checks
             ],
-        }
-        out.json("oracle_report.json", report)
-        out.manifest()
+        })
     if failed:
-        raise OracleFailure(f"{len(failed)} oracle check(s) failed: {failed}")
+        sys.stderr.write(
+            f"oracle failure: {len(failed)} oracle check(s) failed: {failed}\n")
+        return EXIT_ORACLE
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- rerun
 
 
-def _cmd_rerun(args) -> int:
+def _cmd_rerun(args, out: _Output) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text())
         argv = manifest["parameters"]["argv"]
@@ -622,7 +609,11 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if hasattr(args, "seed"):
             args.seed = _resolve_seed(args.seed)
-        return args.run(args)
+        out = _Output(args)
+        code = args.run(args, out)
+        if out.hashes:  # a run that wrote artifacts writes one manifest of them
+            out.manifest()
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
     except (MalformedInputError, DomainError, DimensionError, ModelError,
@@ -635,9 +626,6 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence failure: {exc}\n")
         return EXIT_CONVERGENCE
-    except OracleFailure as exc:
-        sys.stderr.write(f"oracle failure: {exc}\n")
-        return EXIT_ORACLE
 
 
 if __name__ == "__main__":

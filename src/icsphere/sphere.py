@@ -167,15 +167,15 @@ def standardize_rows(rows, *, out=None) -> tuple[np.ndarray, np.ndarray]:
     rows are dropped, not errored, because bulk callers expect that.
 
     The rows are taken in blocks of about _ROW_BLOCK_VALUES values, each
-    copied transposed into reused (n, rows) buffers, so that every step
-    is a long vector op over a block that stays in L2 cache: the mean,
-    the centering, the norm, the degeneracy floor from the row's norm,
-    the division, a second centering pass and the renormalization, per
-    element in that order. Row sums are added in numpy's order for
-    add.reduce(x, axis=1) on a C-ordered x (see _row_sums), so every
-    output bit equals that of the same steps written as whole-matrix
-    numpy calls on a C-ordered copy. The bits depend on the values only,
-    not on the block size or on the memory layout.
+    copied transposed into contiguous (n, rows) views of reused buffers,
+    so that every step is a long vector op over a block that stays in L2
+    cache: the mean, the centering, the norm, the degeneracy floor from
+    the row's norm, the division, a second centering pass and the
+    renormalization, per element in that order. Row sums are added in
+    numpy's order for add.reduce(x, axis=1) on a C-ordered x (see
+    _row_sums), so every output bit equals that of the same steps written
+    as whole-matrix numpy calls on a C-ordered copy. The bits depend on
+    the values only, not on the block size or on the memory layout.
     A row whose sum of squares is out of range is first multiplied by an
     exact power of two, 2^-e with 2^e above its largest |entry|, so no bit
     depends on the row's scale and the relative floor alone decides.
@@ -193,14 +193,14 @@ def standardize_rows(rows, *, out=None) -> tuple[np.ndarray, np.ndarray]:
     step = max(_ROW_BLOCK_VALUES // n, 1)
     units = np.empty((m, n)) if out is None else out
     kept = np.empty(m, dtype=bool)
-    block = np.empty((n, min(step, m)))
+    block = np.empty(n * min(step, m))
     squares = np.empty_like(block)
     done = 0
     # A square past the float range is inf, which marks its row for scaling.
     with np.errstate(over="ignore"):
         for lo in range(0, m, step):
             b = min(step, m - lo)
-            t, sq = block[:, :b], squares[:, :b]
+            t, sq = block[:n * b].reshape(n, b), squares[:n * b].reshape(n, b)
             np.copyto(t, arr[lo:lo + b].T)
             if not np.isfinite(t).all():
                 raise DomainError("matrix has non-finite entries")
@@ -218,7 +218,7 @@ def standardize_rows(rows, *, out=None) -> tuple[np.ndarray, np.ndarray]:
             keep = np.greater(r, floor, out=kept[lo:lo + b])
             if not keep.all():
                 t, r = t[:, keep], r[keep]
-                sq = sq[:, :r.size]
+                sq = squares[:n * r.size].reshape(n, r.size)
             # A second centering pass scrubs the O(eps * scale / r) residual
             # sum that the first pass leaves when the input is nearly constant.
             t /= r

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import dataclasses
 import datetime
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -389,6 +391,9 @@ class TestParamsFile:
         ('{"mu": [0.1, "x"], "cov": [[1.0, 0.0], [0.0, 1.0]]}',
          "key 'mu' is not a 1-d array of numbers", MRL),
         ('{"mu": [0.1, 0.2]}', "lacks the key needed for ten_base: 'cov'", MRL),
+        # Python's json reads NaN, so the model, not the reader, rejects it.
+        ('{"mu": [0.1, 0.2, 0.3], "cov": [[1.0, 0.0, 0.0], [0.0, NaN, 0.0], '
+         '[0.0, 0.0, 1.0]]}', "cov has non-finite entries", MRL),
         (bundled_with(hetero_scale=[1.0, 3.0]),
          "key 'hetero_scale' has 2 entries for 'sigma10' of shape (10, 10)", HETERO),
         (bundled_with(hetero_scale=None),
@@ -397,7 +402,7 @@ class TestParamsFile:
         ('{"mu": [0.1, 0.2], "cov": [[1.0, 0.0], [0.0, 1.0]]}',
          "plain model (mu, cov), but ten_hetero needs", HETERO),
     ], ids=["not_json", "list", "no_mu10", "ragged_cov", "string_in_mu",
-            "mu_without_cov", "hetero_scale_length", "no_hetero_scale",
+            "mu_without_cov", "nan_cov", "hetero_scale_length", "no_hetero_scale",
             "plain_model_hetero"])
     def test_bad_file_exits_2(self, text, message, command, tmp_path, capsys):
         path = tmp_path / "params.json"
@@ -814,6 +819,61 @@ class TestOracle:
         assert "oracle failure" in err
         report = read_json(out_dir / "oracle_report.json")
         assert [c["ok"] for c in report["checks"]] == [False] * 3
+        # main writes the manifest after the failing command returns.
+        manifest = read_json(out_dir / "manifest.json")
+        assert manifest["artifacts"] == {
+            "oracle_report.json": sha256_file(out_dir / "oracle_report.json")}
+
+    @staticmethod
+    def shifted_value(real):
+        def min_variance(cov):
+            res = real(cov)
+            return dataclasses.replace(res, value=res.value + 1e-6)
+        return min_variance
+
+    @staticmethod
+    def misaligned(real):
+        def min_variance(cov):
+            res = real(cov)
+            turned = sphere.standardize(np.roll(res.theta_star.coords, 1))
+            return dataclasses.replace(res, theta_star=turned)
+        return min_variance
+
+    @staticmethod
+    def varies_with_lambda(real):
+        def mean_variance(model, lam):
+            res = real(model, lam)
+            if not math.isinf(lam):
+                return res
+            flipped = sphere.UnitDirection(-res.theta_star.coords)
+            return dataclasses.replace(res, theta_star=flipped)
+        return mean_variance
+
+    @pytest.mark.parametrize("name,patch,detail", [
+        ("min_variance", shifted_value,
+         r"trial 0: min-variance value off by 1\.00e-06"),
+        ("min_variance", misaligned,
+         r"trial 0: minimizer misaligned \(0\.\d{12}\)"),
+        ("mean_variance_homoscedastic", varies_with_lambda,
+         r"trial 0: penalty level changed the maximizer"),
+    ], ids=["value", "misaligned", "lambda"])
+    def test_optimize_failure_exits_4_with_report(self, name, patch, detail,
+                                                  monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(optimize, name, patch(getattr(optimize, name)))
+        out_dir = tmp_path / "orc"
+        code, out, err = run(["oracle", "--suite", "optimize", "--seed", "7",
+                              "--output-dir", str(out_dir)], capsys)
+        assert code == 4
+        assert err == ("oracle failure: 1 oracle check(s) failed: "
+                       "['optimize.homoscedastic_suite']\n")
+        assert out.startswith("FAIL optimize.homoscedastic_suite: trial ")
+        (check,) = read_json(out_dir / "oracle_report.json")["checks"]
+        assert check["name"] == "optimize.homoscedastic_suite"
+        assert check["ok"] is False
+        assert re.fullmatch(detail, check["detail"])
+        manifest = read_json(out_dir / "manifest.json")
+        assert manifest["artifacts"] == {
+            "oracle_report.json": sha256_file(out_dir / "oracle_report.json")}
 
 
 class TestRerun:
@@ -1021,6 +1081,44 @@ class TestOutputDir:
         assert code == 2
         assert "--output-dir" in err
         assert blocker.read_text() == "not a directory\n"
+
+
+def holed_panel(tmp_path, n, holes, *extra):
+    path = tmp_path / "holed.csv"
+    write_panel_csv(path, business_days(datetime.date(2020, 1, 2), 10),
+                    [f"H{j}" for j in range(n)],
+                    one_factor_returns(10, n, seed=29), holes)
+    return ["empirical", "--input", str(path), *extra]
+
+
+class TestInputErrors:
+    """Typed errors from outside input exit 2 with an 'error: ' line and
+    leave no output directory."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (lambda tmp: ["moments", "--mu", "nan,0.01,0.02", "--sigma", "0.02",
+                      "--rho", "0.1"],
+         "vector has non-finite entries"),
+        (lambda tmp: ["moments", "--mu", "0.01,0.02,0,0", "--sigma", "0.02",
+                      "--rho", "0.1", "--theta", "1,-1"],
+         "theta and summary dimensions differ"),
+        # The second and third of three columns miss every other cell.
+        (lambda tmp: holed_panel(tmp, 3, {(i, j) for i in range(0, 10, 2)
+                                          for j in (1, 2)}),
+         "fewer than 2 columns survive the missing-data limit"),
+        # One hole per row keeps every column (10% missing) and no row.
+        (lambda tmp: holed_panel(tmp, 10, {(i, i) for i in range(10)},
+                                 "--missing-policy", "drop_row"),
+         "fewer than 2 rows survive the missing-data policy"),
+    ], ids=["nan_mu", "theta_dimension", "columns_missing", "rows_dropped"])
+    def test_exits_2_without_output(self, argv, message, tmp_path, capsys):
+        code, out, err = run(argv(tmp_path) + ["--output-dir", str(tmp_path / "out")],
+                             capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert message in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
 
 
 def computing_flags(tmp_path, panel_csv):
