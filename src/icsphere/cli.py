@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Four subcommands (moments, simulate, empirical, oracle) plus rerun.
-Each command writes its artifacts through the one _Output that main
-passes it and returns its exit code. After the command returns, main
-writes a manifest.json of whatever it wrote (oracle's report too when
-a check fails and it returns 4): the normalized argument vector, the
-seed, and the sha256 of each artifact. Rerunning a manifest reproduces
-the artifacts bit for bit.
+Each command only computes: it hands its artifacts to the one _Output
+that main passes it and returns its exit code. After the command
+returns, main writes every artifact to --output-dir and then a
+manifest.json of them (oracle's report too when a check fails and it
+returns 4): the normalized argument vector, the seed, and the sha256 of
+each artifact. A command that fails raises before main writes, so it
+leaves no output. Rerunning a manifest reproduces the artifacts bit for
+bit.
 
 Exit codes: 0 success, 1 degenerate input, 2 usage or model error,
 3 convergence or sampling failure, 4 oracle mismatch.
@@ -120,25 +122,15 @@ def _manifest_argv(args) -> list[str]:
 
 
 class _Output:
-    """A run's --output-dir. Each artifact is written from its text, and
-    the sha256 of the bytes written goes to manifest.json, which main
-    writes once the command returns. Every artifact is ASCII, so its
-    bytes are its UTF-8 text."""
+    """A run's artifacts, kept as bytes under their names until main calls
+    write(). Every artifact is ASCII, so its bytes are its UTF-8 text."""
 
     def __init__(self, args):
         self.args = args
-        self.hashes: dict[str, str] = {}
+        self.files: dict[str, bytes] = {}
 
     def text(self, name: str, text: str) -> None:
-        data = text.encode()
-        path = Path(self.args.output_dir)
-        try:
-            if not self.hashes:  # the first write makes the directory
-                path.mkdir(parents=True, exist_ok=True)
-            (path / name).write_bytes(data)
-        except OSError as exc:
-            raise MalformedInputError(f"unusable --output-dir: {exc}") from None
-        self.hashes[name] = hashlib.sha256(data).hexdigest()
+        self.files[name] = text.encode()
 
     def json(self, name: str, obj) -> None:
         self.text(name, _json_text(obj))
@@ -149,14 +141,26 @@ class _Output:
         csv.writer(buf).writerows(itertools.chain([header], rows))
         self.text(name, buf.getvalue())
 
-    def manifest(self) -> None:
+    def write(self) -> None:
+        """Write every artifact to --output-dir, then manifest.json of
+        their sha256; nothing without --output-dir or artifacts."""
+        if self.args.output_dir is None or not self.files:
+            return
         self.json("manifest.json", {
             "command": ".".join(self.args.path),
             "parameters": {"argv": _manifest_argv(self.args)},
             "seed": getattr(self.args, "seed", None),
-            "artifacts": dict(self.hashes),
+            "artifacts": {name: hashlib.sha256(data).hexdigest()
+                          for name, data in self.files.items()},
             "library_version": __version__,
         })
+        path = Path(self.args.output_dir)
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+            for name, data in self.files.items():
+                (path / name).write_bytes(data)
+        except OSError as exc:
+            raise MalformedInputError(f"unusable --output-dir: {exc}") from None
 
 
 # ---------------------------------------------------------------- moments
@@ -180,8 +184,7 @@ def _cmd_moments(args, out: _Output) -> int:
         payload["variance"] = moments.variance_T(theta, summary.cov_chi)
     text = _json_text(payload)
     sys.stdout.write(text)
-    if args.output_dir is not None:
-        out.text("moments.json", text)
+    out.text("moments.json", text)
     return EXIT_OK
 
 
@@ -317,32 +320,23 @@ def _cmd_empirical(args, out: _Output) -> int:
             raise DimensionError(
                 f"--iota has {iota.dim} components, panel has {panel.n}"
             )
-
-    # Every artifact is computed before the first is written, so a run
-    # that fails leaves no output.
-    windows = []
-    for label, rows in _parse_windows(args.windows, panel):
+    windows = _parse_windows(args.windows, panel)
+    for label, rows in windows:
         sub = spanel.restrict(rows)
-        windows.append((label, sub.kept, emp.window_report(sub, label, iota=iota)))
-    corr = emp.correlation_summary(panel.returns[spanel.kept],
-                                   spanel.sample.matrix)
-    series = (None if args.rolling is None
-              else emp.rolling_mrl_cssd(spanel, window=args.rolling))
-
-    iso_dates = [d.isoformat() for d in panel.dates]
-    for label, kept, report in windows:
+        report = emp.window_report(sub, label, iota=iota)
         out.json(f"window_{label}.json", report.to_json_dict())
         out.csv(f"scatter_spectrum_{label}.csv", ["rank", "eigenvalue"],
                 [(i + 1, float(v)) for i, v in
                  enumerate(report.scatter_eigenvalues)])
         out.csv(f"projected_{label}.csv", ["date", "value"],
-                zip(itertools.compress(iso_dates, kept),
+                zip((d.isoformat() for d in sub.dates),
                     report.projected_series.tolist()))
-    out.json("correlations.json", corr)
-    if series is not None:
+    out.json("correlations.json", emp.correlation_summary(
+        panel.returns[spanel.kept], spanel.sample.matrix))
+    if args.rolling is not None:
         out.csv("rolling.csv", ["date", "mrl", "cssd"],
                 [(d.isoformat(), "" if math.isnan(m) else m, c)
-                 for d, m, c in series])
+                 for d, m, c in emp.rolling_mrl_cssd(spanel, window=args.rolling)])
 
     info = {
         "input": str(args.input),
@@ -352,7 +346,7 @@ def _cmd_empirical(args, out: _Output) -> int:
         "filled_cells": panel.filled_cells,
         "dropped_rows": panel.dropped_rows,
         "degenerate_rows": spanel.dropped_degenerate,
-        "windows": [label for label, _, _ in windows],
+        "windows": [label for label, _ in windows],
         "missing_policy": args.missing_policy,
         "iota": args.iota,
     }
@@ -451,28 +445,28 @@ def _oracle_optimize(checks: list, count: int, seed: int) -> None:
     checks.append(("optimize.homoscedastic_suite", not detail, detail or "10 trials"))
 
 
+_ORACLE_SUITES = {"specfun": _oracle_specfun, "cov": _oracle_cov,
+                  "optimize": _oracle_optimize}
+
+
 def _cmd_oracle(args, out: _Output) -> int:
     checks: list[tuple[str, bool, str]] = []
-    if args.suite in ("specfun", "all"):
-        _oracle_specfun(checks, args.count, args.seed)
-    if args.suite in ("cov", "all"):
-        _oracle_cov(checks, args.count, args.seed)
-    if args.suite in ("optimize", "all"):
-        _oracle_optimize(checks, args.count, args.seed)
+    for suite, run in _ORACLE_SUITES.items():
+        if args.suite in (suite, "all"):
+            run(checks, args.count, args.seed)
 
     for name, ok, detail in checks:
         sys.stdout.write(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}\n")
     failed = [name for name, ok, _ in checks if not ok]
 
-    if args.output_dir is not None:
-        out.json("oracle_report.json", {
-            "suite": args.suite,
-            "count": args.count,
-            "seed": args.seed,
-            "checks": [
-                {"name": n, "ok": ok, "detail": d} for n, ok, d in checks
-            ],
-        })
+    out.json("oracle_report.json", {
+        "suite": args.suite,
+        "count": args.count,
+        "seed": args.seed,
+        "checks": [
+            {"name": n, "ok": ok, "detail": d} for n, ok, d in checks
+        ],
+    })
     if failed:
         sys.stderr.write(
             f"oracle failure: {len(failed)} oracle check(s) failed: {failed}\n")
@@ -586,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_or = command(sub, ("oracle",), _cmd_oracle,
                    help="independent numerical cross-checks")
-    p_or.add_argument("--suite", choices=["specfun", "cov", "optimize", "all"],
+    p_or.add_argument("--suite", choices=[*_ORACLE_SUITES, "all"],
                       default="all")
     p_or.add_argument("--count", type=int, default=1_000_000,
                       help="MC draws per check; tolerances scale as 1/sqrt(N)")
@@ -611,8 +605,7 @@ def main(argv=None) -> int:
             args.seed = _resolve_seed(args.seed)
         out = _Output(args)
         code = args.run(args, out)
-        if out.hashes:  # a run that wrote artifacts writes one manifest of them
-            out.manifest()
+        out.write()
         return code
     except SystemExit as exc:
         return int(exc.code or 0)

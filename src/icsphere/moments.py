@@ -198,15 +198,26 @@ def two_dim_exact(p_greater: float) -> MomentSummary:
 def two_dim_normal(mu1: float, mu2: float, sigma1: float, sigma2: float,
                    rho12: float) -> MomentSummary:
     """Two-asset Gaussian moments at d = (mu1 - mu2) / sd(Z_1 - Z_2):
-    mrl = erf(|d|/sqrt 2), and 1 - mrl^2 from _f_g's erfc rule."""
+    mrl = erf(|d|/sqrt 2), and 1 - mrl^2 from _f_g's erfc rule. d is
+    scale-free, so when max(sigma1, sigma2) lies beyond 2^+-400 all four
+    values are first scaled by the power of two that brings it into [1/2, 1)."""
+    if not all(math.isfinite(v) for v in (mu1, mu2, sigma1, sigma2)):
+        raise ModelError("means and standard deviations must be finite")
     if not (sigma1 > 0.0 and sigma2 > 0.0):
         raise ModelError("standard deviations must be positive")
     if not (-1.0 < rho12 < 1.0):
         raise ModelError(f"need -1 < rho12 < 1, got {rho12!r}")
+    _, e = math.frexp(max(sigma1, sigma2))
+    e = e if abs(e) > 400 else 0
+    sigma1, sigma2 = math.ldexp(sigma1, -e), math.ldexp(sigma2, -e)
+    try:
+        gap = math.ldexp(mu1, -e) - math.ldexp(mu2, -e)
+    except OverflowError:  # distinct means give |d| > 2^969: erf is 1
+        gap = 0.0 if mu1 == mu2 else math.copysign(math.inf, mu1 - mu2)
     spread_var = sigma1 ** 2 + sigma2 ** 2 - 2.0 * rho12 * sigma1 * sigma2
     if not (spread_var > 0.0):
         raise ModelError("Z_1 - Z_2 has no variance; direction is degenerate")
-    d = (mu1 - mu2) / math.sqrt(spread_var)
+    d = gap / math.sqrt(spread_var)
     return _two_point(d, math.erf(abs(d) * _SQRT_HALF), _f_g(2, abs(d))[0])
 
 

@@ -641,6 +641,29 @@ class TestEmpirical:
         assert code == 0
         assert_same_artifacts(first, second)
 
+    def test_constant_projection_writes_null_shape_stats(self, tmp_path, capsys):
+        # A - B > 0 on the window's three days, so every row projects to
+        # the same value: no spread, and skewness and kurtosis are NaN,
+        # which the report writes as null.
+        path = tmp_path / "pair.csv"
+        path.write_text("date,A,B\n2020-01-02,0.02,0.01\n2020-01-03,0.03,0.01\n"
+                        "2020-01-04,0.01,-0.01\n2020-01-05,-0.01,0.02\n"
+                        "2020-01-06,0.00,0.03\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            ["empirical", "--input", str(path),
+             "--windows", "2020-01-02:2020-01-04", "--output-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 0, err
+        name = "window_2020-01-02_2020-01-04.json"
+        stats = read_json(out_dir / name)["projected_stats"]
+        assert stats["sd"] == 0.0
+        assert stats["skewness"] is None and stats["kurtosis"] is None
+        assert '"skewness": null' in (out_dir / name).read_text()
+        manifest = read_json(out_dir / "manifest.json")
+        assert manifest["artifacts"][name] == sha256_file(out_dir / name)
+
     def test_range_window(self, five_year_panel_csv, tmp_path, capsys):
         out_dir = tmp_path / "rng"
         code, _, _ = run(
@@ -694,7 +717,7 @@ class TestEmpirical:
     ], ids=["correlations", "rolling"])
     def test_late_failure_writes_nothing(self, rows, extra, message, tmp_path,
                                          capsys):
-        # Every artifact is computed before any is written, so a run that
+        # main writes nothing before the command returns, so a run that
         # fails on its correlations or rolling series leaves no window
         # artifacts behind without a manifest.
         path = tmp_path / "short.csv"

@@ -1,5 +1,6 @@
 """Tests for panel loading, window reports, and rolling statistics."""
 
+import dataclasses
 import datetime
 import math
 import re
@@ -264,6 +265,25 @@ class TestReturnPanelInvariants:
                 missing_mask=np.zeros((2, 2), dtype=bool),
             )
 
+    @pytest.mark.parametrize("kwargs,error,message", [
+        ({"returns": np.zeros((1, 2)), "dates": (D(2020, 1, 2),)},
+         DimensionError, "panel needs shape (T >= 2, n >= 2), got (1, 2)"),
+        ({"missing_mask": np.zeros((2, 3), dtype=bool)},
+         DimensionError, "missing_mask shape must match returns"),
+        ({"dates": (D(2020, 1, 2),)},
+         DimensionError, "dates/tickers lengths must match the matrix"),
+        ({"tickers": ("A", "B", "C")},
+         DimensionError, "dates/tickers lengths must match the matrix"),
+        ({"missing_mask": np.array([[True, False], [False, False]])},
+         MalformedInputError, "a surviving column exceeds the missing-data limit"),
+    ], ids=["one_row", "mask_shape", "dates", "tickers", "mask_over_limit"])
+    def test_rejects_inconsistent_fields(self, kwargs, error, message):
+        fields = {"dates": (D(2020, 1, 2), D(2020, 1, 3)), "tickers": ("A", "B"),
+                  "returns": np.array([[0.1, 0.2], [0.0, 0.1]]),
+                  "missing_mask": np.zeros((2, 2), dtype=bool)}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            empirical.ReturnPanel(**{**fields, **kwargs})
+
     def test_readonly(self):
         panel = empirical.ReturnPanel(
             dates=(D(2020, 1, 2), D(2020, 1, 3)),
@@ -293,6 +313,18 @@ class TestStandardizePanel:
         assert spanel.dates == (D(2020, 1, 2), D(2020, 1, 6))
         assert spanel.sample.size == 2
         assert spanel.kept.tolist() == [True, False, True]
+
+    def test_kept_must_match_the_sample(self):
+        panel = empirical.ReturnPanel(
+            dates=tuple(business_days(D(2020, 1, 2), 3)), tickers=("A", "B"),
+            returns=np.array([[0.1, 0.2], [0.0, 0.1], [0.3, 0.1]]),
+            missing_mask=np.zeros((3, 2), dtype=bool),
+        )
+        spanel = empirical.standardize_panel(panel)
+        for kept in ([True, True, False], [True, True]):
+            with pytest.raises(DimensionError, match="^kept must mask the source "
+                                                     "rows the sample holds$"):
+                dataclasses.replace(spanel, kept=np.array(kept))
 
     def test_restrict(self):
         dates = business_days(D(2020, 1, 2), 30)

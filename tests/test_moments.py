@@ -107,6 +107,36 @@ class TestTwoDimNormal:
         assert s.mrl == pytest.approx(mrl, rel=1e-14, abs=0.0)
         assert s.md.coords == pytest.approx(math.copysign(S2, d) * np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("k", [-1000, -600, 0, 600, 1000])
+    def test_scale_free_at_any_power_of_two(self, k):
+        # sigma ** 2 went subnormal, then to zero ("no variance"), or
+        # overflowed to a bare OverflowError at these scales.
+        c = math.ldexp(1.0, k)
+        s = moments.two_dim_normal(0.0, c, c, c, 0.3)
+        ref = moments.two_dim_normal(0.0, 1.0, 1.0, 1.0, 0.3)
+        assert s.mrl == pytest.approx(ref.mrl, rel=1e-15, abs=0.0)
+        assert s.cov_chi.tobytes() == ref.cov_chi.tobytes()
+        assert s.md.coords.tobytes() == ref.md.coords.tobytes()
+
+    def test_means_far_beyond_the_scaled_spread(self):
+        # Scaled up with sigma, the means overflow: distinct ones are
+        # certain winners, equal ones leave no direction.
+        assert moments.two_dim_normal(1e300, -1e300, 1e-300, 1e-300, 0.0).mrl == 1.0
+        with pytest.raises(UndefinedMeanDirectionError):
+            moments.two_dim_normal(1e300, 1e300, 1e-300, 1e-300, 0.0)
+
+    @pytest.mark.parametrize("args", [
+        (0.0, 1.0, math.inf, 1.0, 0.0),
+        (math.nan, 1.0, 1.0, 1.0, 0.0),
+        (0.0, math.inf, 1.0, 1.0, 0.0),
+    ], ids=["inf_sigma", "nan_mu", "inf_mu"])
+    def test_non_finite_input_rejected(self, args):
+        # Each was mistyped: "no variance", a DomainError on mrl nan, or
+        # mrl 1 returned.
+        with pytest.raises(ModelError,
+                           match="^means and standard deviations must be finite$"):
+            moments.two_dim_normal(*args)
+
     def test_matches_homoscedastic_path(self):
         sigma, rho = 1.7, 0.35
         model = moments.HomoscedasticModel(
@@ -357,6 +387,16 @@ class TestScoreMoments:
         )
 
 
+    def test_variance_T_rejects_bad_cov(self):
+        theta = sphere.standardize([1.0, 0.0, -1.0])
+        with pytest.raises(DimensionError, match=r"^cov_chi must be 3 x 3, got \(2, 2\)$"):
+            moments.variance_T(theta, np.eye(2))
+        asym = sphere.centering_matrix(3) / 2.0
+        asym[0, 1] += 1e-3
+        with pytest.raises(DomainError, match="^cov_chi is not symmetric$"):
+            moments.variance_T(theta, asym)
+
+
 class TestMomentSummary:
     def test_json_roundtrip(self):
         model = moments.HomoscedasticModel(
@@ -391,3 +431,12 @@ class TestMomentSummary:
         assert s.cov_chi is not None
         with pytest.raises(ValueError):
             s.cov_chi[0, 0] = 9.0
+
+    def test_cov_shape_and_kernel_enforced(self):
+        u = sphere.standardize([1.0, -1.0, 0.0])
+        with pytest.raises(DimensionError, match=r"^cov_chi must be 3 x 3, got \(2, 2\)$"):
+            moments.MomentSummary(md=u, mrl=0.5, cov_chi=np.eye(2) * 0.375)
+        # Trace 1 - mrl^2 = 0.75, but the constant vector maps to (0.75, 0, 0).
+        with pytest.raises(DomainError,
+                           match="^cov_chi must annihilate the constant vector$"):
+            moments.MomentSummary(md=u, mrl=0.5, cov_chi=np.diag([0.75, 0.0, 0.0]))

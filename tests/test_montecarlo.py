@@ -579,6 +579,16 @@ class TestKDE:
         # Unchecked where the grid does not resolve the kernel.
         mc.DensityEstimate(grid=grid, density=np.full(11, 3.0), bandwidth=0.05)
 
+    def test_density_estimate_shape_and_sign(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(DimensionError,
+                           match="^grid and density must be equal-length vectors$"):
+            mc.DensityEstimate(grid=grid, density=np.ones(10), bandwidth=0.05)
+        negative = np.ones(11)
+        negative[3] = -1e-3
+        with pytest.raises(DomainError, match="^density must be nonnegative$"):
+            mc.DensityEstimate(grid=grid, density=negative, bandwidth=0.05)
+
 
 def direct_sum_kde(values, grid, h):
     """The Gaussian KDE summed point by point: the oracle for mc.kde."""

@@ -182,6 +182,13 @@ class TestMinVariance:
         attained = float(res.theta_star.coords @ cov @ res.theta_star.coords)
         assert attained == pytest.approx(res.value, abs=1e-10)
 
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(DimensionError,
+                           match=r"^expected a square matrix, got \(3, 4\)$"):
+            optimize.min_variance(np.zeros((3, 4)))
+        with pytest.raises(DimensionError, match="^need at least 2 assets$"):
+            optimize.min_variance(np.zeros((1, 1)))
+
     def test_rejects_cov_not_annihilating_ones(self):
         with pytest.raises(InvalidCovarianceError):
             optimize.min_variance(np.eye(4))

@@ -580,6 +580,12 @@ class TestRepresentation:
             assert np.max(np.abs(lifted - direct)) < 1e-10
 
     def test_validation(self):
+        with pytest.raises(DimensionError, match=r"^u must be square, got \(3, 2\)$"):
+            sphere.Representation(u=np.eye(3)[:, :2], lam=np.ones(2), nu=np.zeros(2))
+        with pytest.raises(DimensionError, match="^lam and nu must have length n - 1$"):
+            sphere.Representation(u=np.eye(3), lam=np.ones(3), nu=np.zeros(2))
+        with pytest.raises(DimensionError, match=r"^cov must be 3 x 3, got \(2, 2\)$"):
+            sphere.build_representation(np.array([1.0, 0.0, -1.0]), np.eye(2))
         with pytest.raises(DomainError):
             sphere.Representation(
                 u=np.eye(3) * 2.0, lam=np.ones(2), nu=np.zeros(2)
