@@ -498,6 +498,31 @@ class TestSimulateIcPdf:
             b'}\n'
         )
 
+    @pytest.mark.parametrize("mode,artifacts", [
+        ("chi_mu", {
+            "ic_pdf_density.csv":
+            "5cdd8221ad886702f6225f589b6a18177504e05845523bd8b2ce2d19bd4a19a3",
+            "ic_pdf_summary.json":
+            "a5c473af1075c0828e2d76475bab39c2945a7a0249923f895f085ee2edfcff58"}),
+        ("sample_md", {
+            "ic_pdf_density.csv":
+            "08be820e51d19788b7b791ed8e458f250adb982c3b95444c41ef4ea82c686426",
+            "ic_pdf_summary.json":
+            "45b8e93504f3772415eacde5cba01bd3d3ac602fbf2b72222c435e476b19d035"}),
+    ])
+    def test_artifact_hashes_frozen_over_shards(self, mode, artifacts, tmp_path,
+                                                capsys):
+        # Two full shards and a 777-row one, at n = 10. Frozen when each
+        # shard's draws were one BLAS product.
+        out_dir = tmp_path / mode
+        code, _, _ = run(
+            ["simulate", "ic-pdf", "--mode", mode, "--count", "131849",
+             "--seed", "9", "--output-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        assert read_json(out_dir / "manifest.json")["artifacts"] == artifacts
+
     def test_rejects_bad_mode(self, capsys):
         assert run(
             ["simulate", "ic-pdf", "--mode", "nope", "--count", "10"],
