@@ -80,14 +80,26 @@ class HomoscedasticModel:
         return s2 * ((1.0 - self.rho) * np.eye(n) + self.rho * np.ones((n, n)))
 
     def concentration(self) -> float:
-        """The scalar argument ||P mu|| / (sigma sqrt(1 - rho)); scale-free, so
-        mu and sigma beyond 2^+-400 are first scaled by one power of two."""
-        mu, sigma = self.mu, self.sigma
-        _, e = math.frexp(max(float(np.max(np.abs(mu))), sigma))
-        if abs(e) > 400:
-            mu, sigma = np.ldexp(mu, -e), math.ldexp(sigma, -e)
-        pmu = mu - mu.mean()
-        return float(np.linalg.norm(pmu)) / (sigma * math.sqrt(1.0 - self.rho))
+        """The scalar argument x = ||P mu|| / (sigma sqrt(1 - rho)).
+
+        ||P mu|| and sigma are each scaled by their own power of two, and x
+        is their mantissa ratio times 2^(e_mu - e_sigma), so it is right at
+        any finite scale of either. DomainError when x or x^2/2 (the
+        special functions' argument) is not a finite float.
+        """
+        _, e_mu = math.frexp(float(np.max(np.abs(self.mu))))
+        mu = np.ldexp(self.mu, -e_mu)
+        m_mu, e_p = math.frexp(float(np.linalg.norm(mu - mu.mean())))
+        m_sigma, e_sigma = math.frexp(self.sigma)
+        try:
+            x = math.ldexp(m_mu / (m_sigma * math.sqrt(1.0 - self.rho)),
+                           e_mu + e_p - e_sigma)
+            if math.isfinite(0.5 * x * x):
+                return x
+        except OverflowError:
+            pass
+        raise DomainError("concentration ||P mu|| / (sigma sqrt(1 - rho)) "
+                          "is too large: x^2/2 is not a finite float")
 
     def to_gaussian(self) -> "GaussianModel":
         return GaussianModel(self.mu, self.covariance())

@@ -129,6 +129,17 @@ class TestMoments:
         assert moments_payload(scale) == pytest.approx(moments_payload(1.0),
                                                        rel=0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e-100"])
+    def test_far_apart_scales_exit_2(self, sigma, capsys):
+        # x overflows at 1e-200 (a ZeroDivisionError traceback, exit 1,
+        # before), and x^2/2 at 1e-100 (an internal kummer_m message).
+        code, out, err = run(["moments", "--mu", "1e200,0,0", "--sigma", sigma,
+                              "--rho", "0.1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: concentration ||P mu|| / (sigma sqrt(1 - rho)) "
+                       "is too large: x^2/2 is not a finite float\n")
+
     def test_constant_mean_is_degenerate(self, capsys):
         code, _, err = run(
             ["moments", "--mu", "1,1,1", "--sigma", "1.0", "--rho", "0.0"],

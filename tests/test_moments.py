@@ -168,6 +168,26 @@ class TestHomoscedasticModel:
         expect = np.linalg.norm(pmu) / (1.5 * math.sqrt(0.8))
         assert m.concentration() == pytest.approx(expect, rel=1e-14)
 
+    @pytest.mark.parametrize("k", [-1000, -600, 0, 600, 1000])
+    @pytest.mark.parametrize("j", [-1000, -600, 0, 600, 1000])
+    def test_concentration_at_far_apart_scales(self, j, k):
+        # mu scaled by 2^j and sigma by 2^k: x scales by 2^(j - k) while
+        # x^2/2 is finite, and is a typed error beyond. A bare
+        # ZeroDivisionError when one power of two scaled both.
+        mu = np.array([0.3, -0.1, 0.4, 0.0])
+        x = moments.HomoscedasticModel(mu=mu, sigma=1.5, rho=0.2).concentration()
+        model = moments.HomoscedasticModel(mu=np.ldexp(mu, j),
+                                           sigma=math.ldexp(1.5, k), rho=0.2)
+        try:
+            want = math.ldexp(x, j - k)
+        except OverflowError:
+            want = math.inf
+        if math.isfinite(0.5 * want * want):
+            assert abs(model.concentration() - want) <= 1e-15 * want
+        else:
+            with pytest.raises(DomainError, match="concentration"):
+                model.concentration()
+
     def test_positive_definite_bounds(self):
         mu = np.zeros(4)
         with pytest.raises(ModelError):
