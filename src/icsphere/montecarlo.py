@@ -18,6 +18,9 @@ Row-major consumption: a draw matrix of shape (rows, n) takes rows*n
 normals in one run of the stream. Work is split into shards of 65536
 rows; shard i of a request seeded (seed, stream) uses the stream
 (seed, stream + i), which makes results independent of shard batching.
+The transform g L^T + mu is formed in BLAS products of exactly
+_block_rows(n) rows, a short last block zero-padded, so a draw's bits do
+not depend on how many rows are drawn with it either.
 """
 
 from __future__ import annotations
@@ -77,12 +80,12 @@ _INV_2_52 = 2.0 ** -52
 # Polar attempts per block. A source draws whole blocks, whose few
 # buffers stay within L2; the bits do not depend on the size.
 _BLOCK_ATTEMPTS = 16384
-# Values per row block of a streamed shard (see _block_rows): 8,192
-# rows at n = 10. At 2^20 draws on 2 vCPUs, estimate_chi_mrl took
-# 0.32-0.34 s (medians of 15) in blocks of 4,096, 8,192 or 16,384 rows,
-# within noise of each other, and 0.40 s in whole shards. It is not
-# sphere's 2^15: its 128-row blocks changed the draws' bits at n = 129
-# to 191 on two BLAS threads.
+# Values per BLAS product of the draw transform and per row block of a
+# streamed shard (see _block_rows): 8,192 rows at n = 10. The product's
+# row count is part of the draws' bits, so another size gives other
+# draws. At 2^20 draws on 2 vCPUs, estimate_chi_mrl took 0.32-0.34 s
+# (medians of 15) in blocks of 4,096, 8,192 or 16,384 rows, within noise
+# of each other, and 0.40 s in whole shards.
 _SHARD_BLOCK_VALUES = 1 << 17
 
 
@@ -203,22 +206,11 @@ def _validate_int(value: int, name: str, minimum: int | None = 1) -> int:
 
 
 def _block_rows(n: int) -> int:
-    """Rows per block of a streamed shard: the largest power of two with
-    at most _SHARD_BLOCK_VALUES values, or SHARD_ROWS (whole shards)
-    where blocks would not keep the draws' bits.
-
-    A power of two divides SHARD_ROWS, so a full shard splits into equal
-    blocks and only a partial shard's last block takes a remainder. The
-    draws' BLAS product over these blocks gave every row the bits of the
-    whole-shard product at every n up to 192 and at the multiples of 8
-    checked up to 8192 (OpenBLAS 0.3.31). At other n from 193 on, a
-    row's last n mod 8 coordinates changed with the product's row count,
-    and beyond 8192 a block would hold under 16 rows, where small
-    products changed bits too; those n keep whole shards.
-    """
-    if n > 8192 or (n > 192 and n % 8):
-        return SHARD_ROWS
-    return 1 << ((_SHARD_BLOCK_VALUES // n).bit_length() - 1)
+    """B, the rows of every draw product and of every row block of a
+    streamed shard: the largest power of two with at most
+    _SHARD_BLOCK_VALUES values, and at least 16. It divides SHARD_ROWS
+    for n >= 2, so a full shard splits into equal blocks."""
+    return 1 << (max(_SHARD_BLOCK_VALUES // n, 16).bit_length() - 1)
 
 
 def _shard_sources(count: int, stream: SeededStream):
@@ -234,30 +226,22 @@ def _shard_sources(count: int, stream: SeededStream):
 def _shard_blocks(n: int, count: int, stream: SeededStream):
     """Each shard's standard normals in row blocks, shard by shard.
 
-    Returns the rows of the largest block and, per shard in order, an
-    iterator of its (b, n) blocks: max(rows // step, 1) of them, step =
-    _block_rows(n), the last taking the remainder, so no block is shorter
-    than step rows unless the shard is. Every block is taken into one
-    normals buffer per call, which the next block overwrites, and the
-    shards share one source, so a shard's blocks are used up before the
-    next shard's.
+    Returns the rows of the largest block, min(_block_rows(n), count),
+    and per shard in order an iterator of its (b, n) blocks: that many
+    rows each, but a shard's last block may be shorter. Every block is
+    taken into one normals buffer per call, which the next block
+    overwrites, and the shards share one source, so a shard's blocks are
+    used up before the next shard's.
     """
-    step = _block_rows(n)
-
-    def sizes(rows):
-        k = max(rows // step, 1)
-        return [step] * (k - 1) + [rows - (k - 1) * step]
-
-    # The largest block ends a full shard or the partial one.
-    largest = max(sizes(min(count, SHARD_ROWS))[-1], sizes(count % SHARD_ROWS)[-1])
-    normals = np.empty(largest * n)
+    step = min(_block_rows(n), count)
+    normals = np.empty(step * n)
 
     def blocks(source, rows):
-        for b in sizes(rows):
-            yield source.take(b * n, normals).reshape(b, n)
+        for lo in range(0, rows, step):
+            yield source.take(min(step, rows - lo) * n, normals).reshape(-1, n)
 
-    return largest, (blocks(source, rows)
-                     for source, rows in _shard_sources(count, stream))
+    return step, (blocks(source, rows)
+                  for source, rows in _shard_sources(count, stream))
 
 
 def _kept_blocks(shards, units, total: np.ndarray):
@@ -294,8 +278,25 @@ def _map_shards(fn, n: int, count: int, stream: SeededStream) -> list:
 
 
 def _draws(model: GaussianModel, g: np.ndarray, out=None) -> np.ndarray:
-    """The draws g L^T + mu, with mu added in place; into out if given."""
-    y = np.matmul(g, model.chol.T, out=out)
+    """The draws g L^T + mu, with mu added in place; into out (C-ordered,
+    g's shape) if given.
+
+    The one owner of the transform's product size: every row comes from
+    a BLAS product of exactly b = _block_rows(n) rows. The whole blocks
+    go through one stacked matmul, which gives the bits of a loop of
+    b-row products, and a short last block is zero-padded to b rows. A
+    row's bits then depend on its own normals, n, and the BLAS build and
+    thread count, never on how many rows g holds.
+    """
+    rows, n = g.shape
+    b = _block_rows(n)
+    whole, tail = rows - rows % b, rows % b
+    y = np.empty(g.shape) if out is None else out
+    np.matmul(g[:whole].reshape(-1, b, n), model.chol.T,
+              out=y[:whole].reshape(-1, b, n))
+    if tail:
+        pad = np.pad(g[whole:], ((0, b - tail), (0, 0)))
+        y[whole:] = (pad @ model.chol.T)[:tail]
     y += model.mu
     return y
 
@@ -315,14 +316,11 @@ def _resultant(model: GaussianModel, count: int,
 
     Each shard is drawn, transformed and standardized in the row blocks
     of _shard_blocks, through one normals buffer and one workspace per
-    call, and summed by _kept_blocks. A short tail product can change
-    the draws' bits: a 1-row one takes BLAS's gemv path, and an 8-row
-    one changed all 8 rows at n = 50, so the last block takes the
-    remainder.
+    call, and summed by _kept_blocks.
     """
     n = model.n
-    largest, shards = _shard_blocks(n, count, stream)
-    work = np.empty(largest * n)
+    rows, shards = _shard_blocks(n, count, stream)
+    work = np.empty(rows * n)
 
     def units(g):
         return _directions(model, g, work[:g.size].reshape(g.shape))
@@ -428,9 +426,7 @@ def estimate_chi_mrl(model: GaussianModel, count: int, stream: SeededStream) -> 
 
     Each shard is drawn, transformed, standardized and summed in row
     blocks of about 2^17 values (_resultant), so memory is O(block)
-    whatever the count: no draw matrix is held, nor one shard's at
-    n <= 192 or at a multiple of 8 up to 8192. At other n, where blocks
-    changed the draws' bits, _block_rows keeps whole shards, O(shard).
+    whatever the count and n: no draw matrix is held, nor one shard's.
     The sum adds the kept directions in row order within each shard and
     the shard sums in shard order (_kept_blocks), which gives the bits
     of whole-shard sums (README, determinism contract).
@@ -461,8 +457,7 @@ def projected_moments_mc(n: int, x: float, count: int,
 
     Each shard streams in the row blocks of _shard_blocks through one
     normals buffer per call, so memory is O(block + n^2) whatever the
-    count. The n at which _block_rows keeps whole shards (n > 8192, or
-    n > 192 and not a multiple of 8) stay O(shard + n^2).
+    count.
 
     Within a block, rows are normalized in place, in transposed L2-sized
     pieces whose norms add in numpy's order (sphere._row_sums): every bit
@@ -470,9 +465,7 @@ def projected_moments_mc(n: int, x: float, count: int,
     are dropped. The first moment is summed by _kept_blocks, so mean
     keeps the bits of u.sum(axis=0) over whole shards. The second and
     fourth moments add u^T u and (u*u)^T (u*u) block by block, so cov,
-    se_mean and se_cov have the bits of that order, which differ in the
-    last places from whole-shard products once a shard spans more than
-    one block.
+    se_mean and se_cov have the bits of that order and of the block size.
     """
     n = _validate_int(n, "n", minimum=None)
     if n < 2:

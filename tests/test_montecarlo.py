@@ -5,12 +5,17 @@ definition; the vectorized source must reproduce it bitwise, at every
 take() boundary, and for any shard layout.
 """
 
+import ast
 import datetime
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,17 +247,32 @@ class TestShards:
             assert np.array_equal(g.ravel(), want)
 
     def test_block_rows_power_of_two_dividing_shard(self):
-        # Every n that can stream, then n around 2^17 / 2^k beyond it.
+        # n up to 8201, then n around 2^17 / 2^k, where 16 rows hold
+        # more than 2^17 values.
         edges = [(mc._SHARD_BLOCK_VALUES >> k) + d for k in range(4)
                  for d in (-1, 0, 1)]
         for n in [*range(2, 8202), *edges, 1 << 20]:
             step = mc._block_rows(n)
             assert step & (step - 1) == 0 and mc.SHARD_ROWS % step == 0, n
-            assert (step == mc.SHARD_ROWS
-                    or step * n <= mc._SHARD_BLOCK_VALUES < 2 * step * n), n
-        # Whole shards where blocks changed the draws' bits.
-        assert [mc._block_rows(n) for n in (10, 192, 193, 200, 257, 8192, 8200)] == [
-            8192, 512, mc.SHARD_ROWS, 512, mc.SHARD_ROWS, 16, mc.SHARD_ROWS]
+            assert (step * n <= mc._SHARD_BLOCK_VALUES < 2 * step * n
+                    or (step == 16 and 16 * n > mc._SHARD_BLOCK_VALUES)), n
+        # One rule at every n: no whole shards.
+        assert [mc._block_rows(n) for n in (2, 10, 192, 193, 257, 8192, 8200,
+                                            1 << 20)] == [
+            mc.SHARD_ROWS, 8192, 512, 512, 256, 16, 16, 16]
+
+    @pytest.mark.parametrize("n", [3, 10, 50, 257])
+    def test_draws_do_not_depend_on_count(self, n):
+        # Each row is formed in a product of _block_rows(n) rows, a short
+        # one zero-padded, so a draw is the same in every count that
+        # includes it. A short product of its own changed 1- to 100-row
+        # tails at n = 3 to 100, and whole shards changed rows at n = 257.
+        model = seeded_model(n)
+        stream = mc.SeededStream(seed=n)
+        full = mc.sample_chi(model, 70001, stream).matrix[:4000]
+        for count in (1, 3, 8, 17, 100, 4000):
+            got = mc.sample_chi(model, count, stream).matrix
+            assert np.array_equal(got, full[:count]), count
 
 
 class TestSampleMVN:
@@ -414,9 +434,11 @@ def moments_digest(res):
 class TestProjectedMomentsMC:
     # mean frozen before the shard kernel moved to transposed row blocks;
     # cov, se_mean and se_cov re-pinned when shards streamed in row blocks,
-    # whose BLAS products sum block by block. The cases reach each branch
-    # of sphere._row_sums (n < 8, 8 <= n <= 128, n > 128) and end on a
-    # partial shard and a partial block.
+    # whose BLAS products sum block by block, and at n = 200 again when
+    # a shard's last block stopped taking the remainder (5,000 rows: nine
+    # blocks of 512 and one of 392, not eight and one of 904). The cases
+    # reach each branch of sphere._row_sums (n < 8, 8 <= n <= 128,
+    # n > 128) and end on a partial shard and a partial block.
     @pytest.mark.parametrize("n,x,count,seed,digest", [
         (3, 1.0, 2 * mc.SHARD_ROWS + 777, 71, [
             "37e80eb0edfed332eb307add0acc231ee7e0adbf758b0fd1fcde33a600847b95",
@@ -430,9 +452,9 @@ class TestProjectedMomentsMC:
             "0e1e3dd24db41b35be6b6ecb38d0af914610313ffe7901c045a0eca06669122a"]),
         (200, 5.0, 5000, 73, [
             "5124b2b79e9728ca8e8e792d4801eed5db21b56fbd64a80950b4ad22fd5ac3bf",
-            "f720a06ffa50865d360e8cb5c94d7855351fcf8c5022e3466d64f1e97a77c84f",
-            "848461dc578ae861e019b9820b30bf79c1ea0fe9c39b68e1a08980418ea77364",
-            "aa8a3307e909e96251861f3916ad0c423a3436948439d3f0fdc1c15d0f51a48d"]),
+            "e540125b7bfe628bfdfe704bc696baf6239519de6bddba055694111bb6278dd9",
+            "0eb16fdf241054925c4ead08878526d62bdc870523a338b78c0ceb91f129a9b8",
+            "79552d4bd57c02896c53a073aed789764b88689f84b1953f9b4aee7f75cd692b"]),
     ], ids=["n3", "n9", "n200"])
     def test_frozen_bits(self, n, x, count, seed, digest):
         res = mc.projected_moments_mc(n, x, count, mc.SeededStream(seed=seed))
@@ -937,44 +959,87 @@ def digest(a: np.ndarray) -> str:
     return hashlib.sha256(a.tobytes()).hexdigest()
 
 
+def one_blas_thread(expr: str):
+    """The value of expr, a Python literal, computed in a fresh interpreter
+    whose BLAS runs one thread, set before numpy loads, so that a pin of
+    BLAS bits that move with the thread count holds on any runner. expr
+    sees this module as t."""
+    root = Path(__file__).parents[1]
+    path = [str(Path(mc.__file__).parents[1]), str(root),
+            os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(path)}
+    code = f"import tests.test_montecarlo as t; print(repr({expr}))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def resultant_bits(model, count: int, seed: int):
+    """kept, the digest of _resultant's sum, and estimate_chi_mrl's hex."""
+    stream = mc.SeededStream(seed=seed)
+    vec, kept = mc._resultant(model, count, stream)
+    return kept, digest(vec), float.hex(mc.estimate_chi_mrl(model, count, stream))
+
+
+def seeded_resultant_bits(n: int, count: int):
+    return resultant_bits(seeded_model(n), count, n)
+
+
+def blocks_of_16_rows_bits():
+    # 53 rows at n = 4104 (a multiple of 8 above 4096): three products of
+    # 16 rows and a 5-row block padded to 16. Its chol takes 135 MB. The
+    # kernel reads only n, mu and chol; a stand-in carries them, where
+    # GaussianModel would hold several copies of cov.
+    n = 4104
+    assert mc._block_rows(n) == 16
+    rng = np.random.default_rng(n)
+    model = types.SimpleNamespace(n=n, mu=0.1 * rng.standard_normal(n),
+                                  chol=rng.standard_normal((n, n)))
+    return resultant_bits(model, 53, n)
+
+
 class TestStreamedResultant:
-    """_resultant streams each shard in row blocks. Every value here was
-    frozen when shards were summed whole, at counts that end in a partial
-    shard whose last block takes the remainder."""
+    """_resultant streams each shard in row blocks, and _draws forms every
+    row in a product of _block_rows(n) rows. The n2, n10 and n200 values
+    were frozen when shards were summed whole, at counts that end in a
+    partial shard and a short block, and held when short blocks were
+    zero-padded."""
 
     @pytest.mark.parametrize("n,count,mrl,total", [
         # Blocks are whole shards.
         (2, 2 * mc.SHARD_ROWS + 777, "0x1.beba0ea4c6e49p-6",
          "53dc9cd576fadd8caf8622a61abf350cad81b75ef5306992bb32192c2d032ecd"),
-        # A 16,385-row shard: blocks of 8,192 and 8,193 rows, not a 1-row one.
+        # A 16,385-row shard: two blocks of 8,192 rows and a padded 1-row
+        # one, which a product of one row (BLAS's gemv path) would change.
         (10, mc.SHARD_ROWS + 2 * 8192 + 1, "0x1.e250b44ed0608p-5",
          "3e204222d91b4df0f3a6f15294e1f535f1eaf44161b9ec7a9aaa4a56249d09c2"),
-        # 128 blocks of 512 rows, then blocks of 512, 512 and 513 rows.
+        # 128 blocks of 512 rows, then three of 512 and a padded 1-row one.
         (200, mc.SHARD_ROWS + 3 * 512 + 1, "0x1.140ca009bcd96p-4",
          "33163e5522ef6f70598b2e993fd5f2ded35d346c22154a49ffa000b7c2b58a5f"),
-        # Whole shards: blocks of 256 and 261 rows, or 256, 256, 256 and
-        # 259, changed a row's last n mod 8 coordinates, and at n = 300
-        # the MRL's last bit.
+        # Re-pinned when blocks replaced whole shards here: products of
+        # 256 rows, not of 517 or 1,027, change a row's last n mod 8
+        # coordinates, and at n = 300 the MRL's last bit.
         (257, 2 * 256 + 5, "0x1.57f376eb58b64p-4",
-         "59fe129280d587000f5f66120245b4dd06bb17d1702c2428ec0ca7bb20b3cdea"),
-        (300, 4 * 256 + 3, "0x1.3c5d02fbf0303p-4",
-         "ce631d352cbd7bd3e7c81a7a03526fedc4b1fad7cc2989f29c1b20fcfbbbf7aa"),
+         "86f056fbeade292a4445495b131a0a16c0f1cfaa5d58d0bcf2fe0aea7d7e1c9a"),
+        (300, 4 * 256 + 3, "0x1.3c5d02fbf0304p-4",
+         "f6aa3dd264f64a1e992354e0ff4731a4758daaf644fdf7c4effb3ac14a46a57c"),
     ], ids=["n2", "n10", "n200", "n257", "n300"])
     def test_frozen_bits(self, n, count, mrl, total):
-        model = seeded_model(n)
-        stream = mc.SeededStream(seed=n)
-        vec, kept = mc._resultant(model, count, stream)
-        assert kept == count
-        assert digest(vec) == total
-        assert float.hex(mc.estimate_chi_mrl(model, count, stream)) == mrl
+        # One BLAS thread: at two, n257 and n300 sum to other bits.
+        assert one_blas_thread(f"t.seeded_resultant_bits({n}, {count})") == (
+            count, total, mrl)
 
     @pytest.mark.parametrize("n,count", [
         (10, mc.SHARD_ROWS + 2 * 8192 + 1),
         (200, 3 * 512 + 1),
-    ], ids=["n10", "n200"])
+        (257, 3 * 256 + 5),
+    ], ids=["n10", "n200", "n257"])
     def test_blocks_give_whole_shard_directions(self, monkeypatch, n, count):
-        # A 1-row tail block would take BLAS's gemv path and change the
-        # last row's bits, which a long sum can round away.
+        # Both routes form each row in a product of _block_rows(n) rows,
+        # the last shard's short block zero-padded, so a row's bits do not
+        # depend on the route.
         model = seeded_model(n)
         stream = mc.SeededStream(seed=n)
         whole = np.vstack(mc._map_shards(lambda g: mc._directions(model, g),
@@ -1009,23 +1074,24 @@ class TestStreamedResultant:
         assert faults <= 2000, faults
 
     def test_frozen_bits_blocks_of_16_rows(self):
-        # 53 rows are blocks of 16, 16 and 21 rows at n = 4104, the
-        # smallest n with 16-row blocks that stream (a multiple of 8 above
-        # 4096). Its chol takes 135 MB. The kernel reads only n, mu and
-        # chol; a stand-in carries them, where GaussianModel would hold
-        # several copies of cov.
-        n = 4104
-        assert mc._block_rows(n) == 16
-        rng = np.random.default_rng(n)
-        model = types.SimpleNamespace(n=n, mu=0.1 * rng.standard_normal(n),
-                                      chol=rng.standard_normal((n, n)))
-        stream = mc.SeededStream(seed=n)
-        vec, kept = mc._resultant(model, 53, stream)
-        assert kept == 53
-        assert digest(vec) == (
-            "32c402d55717ddd4cd5dd06f0ee235ecf8dc9ec7bfb81ab620d11dbcbc28d4f8")
-        assert float.hex(mc.estimate_chi_mrl(model, 53, stream)) == (
+        # Pinned at one BLAS thread. At two, the padded 5-row block kept
+        # the bits pinned when the last block took 21 rows (digest
+        # 32c402d5...), and one thread sums to other bits.
+        assert one_blas_thread("t.blocks_of_16_rows_bits()") == (
+            53, "8b42897cdce6d739806cba3973c554c9b2c56a8132b8df51c3a4e178b1739b95",
             "0x1.1646bbe6925acp-3")
+
+    def test_memory_is_one_block_at_any_n(self):
+        # n = 257 kept whole shards while blocks changed its bits: three
+        # 65,536-row buffers, a 65.6 MiB peak at 16,384 draws.
+        model = seeded_model(257)
+        tracemalloc.start()
+        try:
+            mc.estimate_chi_mrl(model, 1 << 14, mc.SeededStream(seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
 
     @pytest.mark.parametrize("row,total", [
         (8192 + 100,
