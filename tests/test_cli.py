@@ -131,8 +131,7 @@ class TestMoments:
 
     @pytest.mark.parametrize("sigma", ["1e-200", "1e-100"])
     def test_far_apart_scales_exit_2(self, sigma, capsys):
-        # x overflows at 1e-200 (a ZeroDivisionError traceback, exit 1,
-        # before), and x^2/2 at 1e-100 (an internal kummer_m message).
+        # x itself overflows at 1e-200; at 1e-100 only x^2/2 does.
         code, out, err = run(["moments", "--mu", "1e200,0,0", "--sigma", sigma,
                               "--rho", "0.1"], capsys)
         assert code == 2

@@ -172,8 +172,7 @@ class TestHomoscedasticModel:
     @pytest.mark.parametrize("j", [-1000, -600, 0, 600, 1000])
     def test_concentration_at_far_apart_scales(self, j, k):
         # mu scaled by 2^j and sigma by 2^k: x scales by 2^(j - k) while
-        # x^2/2 is finite, and is a typed error beyond. A bare
-        # ZeroDivisionError when one power of two scaled both.
+        # x^2/2 is finite, and is a typed error beyond.
         mu = np.array([0.3, -0.1, 0.4, 0.0])
         x = moments.HomoscedasticModel(mu=mu, sigma=1.5, rho=0.2).concentration()
         model = moments.HomoscedasticModel(mu=np.ldexp(mu, j),

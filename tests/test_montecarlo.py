@@ -983,10 +983,6 @@ def resultant_bits(model, count: int, seed: int):
     return kept, digest(vec), float.hex(mc.estimate_chi_mrl(model, count, stream))
 
 
-def seeded_resultant_bits(n: int, count: int):
-    return resultant_bits(seeded_model(n), count, n)
-
-
 def blocks_of_16_rows_bits():
     # 53 rows at n = 4104 (a multiple of 8 above 4096): three products of
     # 16 rows and a 5-row block padded to 16. Its chol takes 135 MB. The
@@ -1028,7 +1024,8 @@ class TestStreamedResultant:
     ], ids=["n2", "n10", "n200", "n257", "n300"])
     def test_frozen_bits(self, n, count, mrl, total):
         # One BLAS thread: at two, n257 and n300 sum to other bits.
-        assert one_blas_thread(f"t.seeded_resultant_bits({n}, {count})") == (
+        assert one_blas_thread(
+            f"t.resultant_bits(t.seeded_model({n}), {count}, {n})") == (
             count, total, mrl)
 
     @pytest.mark.parametrize("n,count", [
