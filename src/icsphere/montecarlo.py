@@ -290,7 +290,8 @@ def _draws(model: GaussianModel, g: np.ndarray, out=None) -> np.ndarray:
     """
     rows, n = g.shape
     b = _block_rows(n)
-    whole, tail = rows - rows % b, rows % b
+    tail = rows % b
+    whole = rows - tail
     y = np.empty(g.shape) if out is None else out
     np.matmul(g[:whole].reshape(-1, b, n), model.chol.T,
               out=y[:whole].reshape(-1, b, n))
